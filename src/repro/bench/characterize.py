@@ -61,12 +61,15 @@ def _operand_samples(kernel_name: str, args) -> int:
     Block-producing kernels (motion compensation, ``get_block``) take the
     whole padded reference plane plus ``(x, y, width, height)``; counting
     the plane would massively over-attribute work, so the output block
-    size is used instead.  Everything else is sized by its first array
-    operand.
+    size is used instead.  ``sad`` is sized by its candidate operand,
+    which may stack several blocks.  Everything else is sized by its
+    first array operand.
     """
     if kernel_name.startswith("mc_") or kernel_name == "get_block":
         width, height = args[3], args[4]
         return int(width) * int(height)
+    if kernel_name == "sad":
+        return int(np.size(args[1]))
     for arg in args:
         if isinstance(arg, np.ndarray):
             return int(arg.size)

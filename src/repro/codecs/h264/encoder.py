@@ -29,6 +29,7 @@ from repro.common.gop import CodedFrame, FrameType
 from repro.common.yuv import YuvSequence
 from repro.errors import CodecError
 from repro.kernels import get_kernels
+from repro.mc.pad import H264QpelReader
 from repro.me.cost import MotionCost, lambda_from_qp
 from repro.me.search import run_search
 from repro.me.subpel import refine_subpel
@@ -417,10 +418,15 @@ class H264Encoder(VideoEncoder):
         mby: int,
         assignments: List[Tuple[Tuple[int, int, int, int], MotionVector]],
     ) -> Dict[str, np.ndarray]:
-        """Assemble an MB prediction from per-partition (rect, mv) pairs."""
+        """Assemble an MB prediction from per-partition (rect, mv) pairs.
+
+        Luma is read from the reference's cached half-pel planes, the same
+        ones the motion search scored.
+        """
         kernels = self.kernels
         search_range = self.config.search_range
         luma = reference.padded("y", search_range)
+        predict_luma = H264QpelReader(luma, kernels)
         pred_y = np.zeros((16, 16), dtype=np.int64)
         pred_c = {
             "u": np.zeros((8, 8), dtype=np.int64),
@@ -428,7 +434,7 @@ class H264Encoder(VideoEncoder):
         }
         for (off_x, off_y, width, height), mv in assignments:
             px, py = luma.offset(16 * mbx + off_x, 16 * mby + off_y)
-            pred_y[off_y : off_y + height, off_x : off_x + width] = kernels.mc_qpel_h264(
+            pred_y[off_y : off_y + height, off_x : off_x + width] = predict_luma(
                 luma.plane, px, py, width, height, mv.x, mv.y
             )
             for plane in ("u", "v"):
@@ -479,7 +485,7 @@ class H264Encoder(VideoEncoder):
             predictor=predictor,
             lagrangian=self.lagrangian,
             unit=4,
-            interp=kernels.mc_qpel_h264,
+            interp=H264QpelReader(padded, kernels),
         )
 
     # ------------------------------------------------------------------

@@ -19,6 +19,27 @@ through it; the macroblock control flow above the kernels stays plain
 Python in both builds, mirroring how SIMD optimisation of real codecs only
 touches leaf kernels (which is why the paper's speed-ups are ~2x, not 10x).
 
+Two parts of the contract go beyond one block per call:
+
+* **Stacked candidates in** ``sad``.  ``sad(a, b)`` with ``b`` of shape
+  ``(h, w)`` returns one ``int``; with ``b`` of shape ``(n, h, w)`` (``n``
+  candidate blocks stacked along a leading axis) it returns the list of
+  the ``n`` costs, each equal to ``sad(a, b[i])``.  Motion search scores
+  a whole search pattern with one call (:meth:`repro.me.cost.MotionCost.
+  evaluate_many`, :func:`repro.me.subpel.refine_subpel`); the scalar
+  backend loops over the candidates, so it stays the bit-exact reference.
+* **Whole planes in** ``mc_qpel_h264``.  The kernel accepts any block
+  size, including a whole padded plane.  The H.264 encoder builds its
+  three half-pel planes once per reference picture that way and reads
+  every quarter-pel prediction from them (:mod:`repro.mc.pad`).
+
+``KERNEL_NAMES`` is frozen: both optimisations above reuse existing
+kernels instead of adding entry points.  Lint rule HDVB120 requires the
+public methods of both backends to equal this tuple exactly, and the
+benchmark's layer taxonomy assigns every name to a layer and refuses a
+kernel it cannot place, so a new name would have to be added to both
+backends, the dispatch table and every consumer of the taxonomy at once.
+
 This module documents the interface; see the scalar backend for reference
 semantics of each kernel.
 """

@@ -80,6 +80,15 @@ def _div_to_zero(numerator: int, denominator: int) -> int:
     return -((-numerator) // denominator)
 
 
+def _sad_lists(la: Block, lb: Block) -> int:
+    total = 0
+    for row_a, row_b in zip(la, lb):
+        for pa, pb in zip(row_a, row_b):
+            diff = pa - pb
+            total += diff if diff >= 0 else -diff
+    return total
+
+
 _DCT8 = tables.DCT8_INT.tolist()
 _HAD4 = tables.HADAMARD4.tolist()
 _CF = tables.H264_CF.tolist()
@@ -98,15 +107,17 @@ class ScalarKernels:
     # cost kernels
     # ------------------------------------------------------------------
 
-    def sad(self, a, b) -> int:
-        """Sum of absolute differences between two equal-shape blocks."""
-        la, lb = _to_list(a), _to_list(b)
-        total = 0
-        for row_a, row_b in zip(la, lb):
-            for pa, pb in zip(row_a, row_b):
-                diff = pa - pb
-                total += diff if diff >= 0 else -diff
-        return total
+    def sad(self, a, b):
+        """Sum of absolute differences between two equal-shape blocks.
+
+        ``b`` may instead stack ``n`` candidate blocks along a leading
+        axis, shape ``(n, h, w)``; the result is then the list of their
+        ``n`` costs, computed one candidate at a time.
+        """
+        la = _to_list(a)
+        if np.ndim(b) == 3:
+            return [_sad_lists(la, candidate) for candidate in _to_list(b)]
+        return _sad_lists(la, _to_list(b))
 
     def ssd(self, a, b) -> int:
         """Sum of squared differences."""

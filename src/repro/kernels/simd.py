@@ -49,8 +49,11 @@ class SimdKernels:
     # cost kernels
     # ------------------------------------------------------------------
 
-    def sad(self, a, b) -> int:
-        return int(np.sum(np.abs(_i64(a) - _i64(b))))
+    def sad(self, a, b):
+        diff = np.abs(_i64(b) - _i64(a))
+        if diff.ndim == 3:
+            return diff.reshape(diff.shape[0], -1).sum(axis=1).tolist()
+        return int(np.sum(diff))
 
     def ssd(self, a, b) -> int:
         diff = _i64(a) - _i64(b)

@@ -9,7 +9,7 @@ benchmarks (x264's ``--me`` searches, Xvid's EPZS).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -62,17 +62,35 @@ class MotionCost:
         cached = self._cache.get(mv)
         if cached is not None:
             return cached
-        if not self.in_range(mv):
-            cost = _OUT_OF_RANGE
-        else:
-            px, py = self.reference.offset(self.x + mv.x, self.y + mv.y)
-            candidate = self.kernels.get_block(
-                self.reference.plane, px, py, self.width, self.height
-            )
-            sad = self.kernels.sad(self.current, candidate)
-            cost = sad + self.lagrangian * mv_rate_bits(mv, self.predictor)
-        self._cache[mv] = cost
-        return cost
+        return self.evaluate_many((mv,))[0]
+
+    def evaluate_many(self, mvs: Sequence[MotionVector]) -> List[int]:
+        """Costs of the integer-pel candidates ``mvs``, in order (cached).
+
+        The uncached in-range candidates are sliced straight from the
+        padded reference and scored by one stacked ``sad`` call.
+        """
+        cache = self._cache
+        fresh = []
+        for mv in dict.fromkeys(mvs):
+            if mv in cache:
+                continue
+            if self.in_range(mv):
+                fresh.append(mv)
+            else:
+                cache[mv] = _OUT_OF_RANGE
+        if fresh:
+            plane = self.reference.plane
+            px, py = self.reference.offset(self.x, self.y)
+            width, height = self.width, self.height
+            candidates = np.stack([
+                plane[py + mv.y : py + mv.y + height, px + mv.x : px + mv.x + width]
+                for mv in fresh
+            ])
+            sads = self.kernels.sad(self.current, candidates)
+            for mv, sad in zip(fresh, sads):
+                cache[mv] = sad + self.lagrangian * mv_rate_bits(mv, self.predictor)
+        return [cache[mv] for mv in mvs]
 
     @property
     def evaluations(self) -> int:

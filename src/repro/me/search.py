@@ -42,9 +42,10 @@ HEXAGON = (
 
 def _best(cost: MotionCost, candidates: Iterable[MotionVector],
           seed: SearchResult) -> SearchResult:
+    """The first candidate strictly cheaper than all before it, or ``seed``."""
     best = seed
-    for mv in candidates:
-        value = cost.evaluate(mv)
+    candidates = list(candidates)
+    for mv, value in zip(candidates, cost.evaluate_many(candidates)):
         if value < best.cost:
             best = SearchResult(mv, value)
     return best
@@ -66,13 +67,12 @@ def full_search(cost: MotionCost) -> SearchResult:
     """Exhaustive search of the full +-search_range window."""
     rng = cost.search_range
     best = SearchResult(ZERO_MV, cost.evaluate(ZERO_MV))
-    for dy in range(-rng, rng + 1):
-        for dx in range(-rng, rng + 1):
-            mv = MotionVector(dx, dy)
-            value = cost.evaluate(mv)
-            if value < best.cost:
-                best = SearchResult(mv, value)
-    return best
+    window = [
+        MotionVector(dx, dy)
+        for dy in range(-rng, rng + 1)
+        for dx in range(-rng, rng + 1)
+    ]
+    return _best(cost, window, best)
 
 
 def epzs_search(cost: MotionCost,
@@ -99,10 +99,10 @@ def epzs_search(cost: MotionCost,
 def hexagon_search(cost: MotionCost, max_iterations: int = 16) -> SearchResult:
     """Hexagon-based search: large-hexagon descent then small diamond."""
     start = cost.predictor.clamped(cost.search_range)
-    best = SearchResult(start, cost.evaluate(start))
-    zero = SearchResult(ZERO_MV, cost.evaluate(ZERO_MV))
-    if zero.cost < best.cost:
-        best = zero
+    start_cost, zero_cost = cost.evaluate_many((start, ZERO_MV))
+    best = SearchResult(start, start_cost)
+    if zero_cost < best.cost:
+        best = SearchResult(ZERO_MV, zero_cost)
     for _ in range(max_iterations):
         improved = _best(cost, (best.mv + step for step in HEXAGON), best)
         if improved.mv == best.mv:

@@ -174,10 +174,18 @@ class _CountingCost:
         self.points += 1
         return self._cost.evaluate(mv)
 
+    def evaluate_many(self, mvs):
+        self.points += len(mvs)
+        return self._cost.evaluate_many(mvs)
+
     def __getattr__(self, name: str):
         return getattr(self._cost, name)
 
 
 def counting_cost(cost: object) -> _CountingCost:
-    """Wrap ``cost`` so each ``evaluate`` call is tallied in ``.points``."""
+    """Wrap ``cost`` so each candidate it scores is tallied in ``.points``.
+
+    ``evaluate`` counts one point and ``evaluate_many`` one per candidate,
+    so a search reports the same points whichever of the two it uses.
+    """
     return _CountingCost(cost)

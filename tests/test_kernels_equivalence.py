@@ -5,9 +5,11 @@ This is the invariant the whole scalar-vs-SIMD benchmark axis rests on
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.kernels import get_kernels
+from repro.mc.pad import HALFPEL_PHASES, H264QpelReader, pad_plane
 
 SCALAR = get_kernels("scalar")
 SIMD = get_kernels("simd")
@@ -56,6 +58,25 @@ class TestCostKernels:
     @given(pixel_blocks(4), pixel_blocks(4))
     def test_satd4(self, a, b):
         assert SCALAR.satd4(a, b) == SIMD.satd4(a, b)
+
+
+class TestStackedSad:
+    """``sad(a, b)`` with ``b`` of shape ``(n, h, w)`` returns ``n`` costs."""
+
+    @given(st.integers(1, 9), st.integers(1, 8), st.integers(1, 8), st.data())
+    @settings(max_examples=60)
+    def test_stacked_sad_matches_per_candidate_loop(self, count, height, width, data):
+        current = data.draw(planes(height, width))
+        stack = np.stack([data.draw(planes(height, width)) for _ in range(count)])
+        looped = [SIMD.sad(current, candidate) for candidate in stack]
+        assert SCALAR.sad(current, stack) == looped
+        assert SIMD.sad(current, stack) == looped
+        assert all(type(cost) is int for cost in SIMD.sad(current, stack))
+
+    def test_single_candidate_stack(self):
+        a = np.arange(16, dtype=np.int64).reshape(4, 4)
+        b = a[::-1].copy()
+        assert SCALAR.sad(a, b[None]) == SIMD.sad(a, b[None]) == [SCALAR.sad(a, b)]
 
 
 class TestBlockArithmetic:
@@ -203,6 +224,50 @@ class TestMotionCompensation:
             for fx in range(4):
                 args = (plane, 12, 12, 4, 4, fx - 8, fy + 4)
                 assert_same(SCALAR.mc_qpel_h264(*args), SIMD.mc_qpel_h264(*args))
+
+    @given(planes(14, 17), st.sampled_from(HALFPEL_PHASES))
+    @settings(max_examples=20)
+    def test_mc_qpel_h264_whole_plane(self, plane, phase):
+        rows, cols = plane.shape
+        args = (plane, 2, 2, cols - 5, rows - 5) + phase
+        assert_same(SCALAR.mc_qpel_h264(*args), SIMD.mc_qpel_h264(*args))
+
+    @given(st.integers(0, 3), st.sampled_from([(4, 4), (8, 4), (4, 8), (8, 8)]),
+           st.data())
+    @settings(max_examples=60)
+    def test_h264_plane_reader_matches_kernel(self, search_range, size, data):
+        width, height = size
+        frame = data.draw(planes(12, 16))
+        padded = pad_plane(frame, search_range)
+        x = data.draw(st.integers(0, 16 - width))
+        y = data.draw(st.integers(0, 12 - height))
+        reach = 4 * search_range + 3
+        mvx = data.draw(st.integers(-reach, reach))
+        mvy = data.draw(st.integers(-reach, reach))
+        px, py = padded.offset(x, y)
+        args = (padded.plane, px, py, width, height, mvx, mvy)
+        expected = SIMD.mc_qpel_h264(*args)
+        for backend in (SCALAR, SIMD):
+            assert_same(H264QpelReader(padded, backend)(*args), expected)
+
+    @pytest.mark.parametrize("search_range", [0, 2, 8])
+    def test_h264_plane_reader_all_phases_at_range_limits(self, search_range):
+        rng = np.random.default_rng(search_range)
+        frame = rng.integers(0, 256, (16, 16)).astype(np.int64)
+        padded = pad_plane(frame, search_range)
+        readers = [H264QpelReader(padded, SCALAR), H264QpelReader(padded, SIMD)]
+        corners = [(0, 0), (8, 8), (12, 0), (0, 12)]
+        for x, y in corners:
+            px, py = padded.offset(x, y)
+            for whole_x in (-search_range - 1, 0, search_range):
+                for whole_y in (-search_range - 1, 0, search_range):
+                    for fy in range(4):
+                        for fx in range(4):
+                            mvx, mvy = 4 * whole_x + fx, 4 * whole_y + fy
+                            args = (padded.plane, px, py, 4, 4, mvx, mvy)
+                            expected = SIMD.mc_qpel_h264(*args)
+                            for reader in readers:
+                                assert_same(reader(*args), expected)
 
     @given(planes(20, 20), st.integers(-20, 20), st.integers(-20, 20))
     @settings(max_examples=40)

@@ -9,14 +9,20 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
 import pytest
 
 import repro.telemetry as telemetry
 from repro.codecs import get_decoder, get_encoder
+from repro.codecs.frames import WorkingFrame
 from repro.kernels import get_kernels
+from repro.mc.pad import pad_plane
+from repro.me.cost import MotionCost
+from repro.me.search import epzs_search, full_search, hexagon_search
+from repro.me.types import MotionVector, ZERO_MV
 from repro.parallel import parallel_encode
 from repro.robustness import FaultInjector
-from repro.telemetry.instrument import InstrumentedKernels
+from repro.telemetry.instrument import InstrumentedKernels, counting_cost
 from tests.conftest import make_moving_sequence
 from tests.test_telemetry import load_check_trace
 
@@ -161,6 +167,83 @@ class TestKernelDispatch:
         telemetry.disable()
         assert [p.payload for p in stream_plain.pictures] == \
                [p.payload for p in stream_traced.pictures]
+
+
+    def test_h264_builds_halfpel_planes_once_per_reference(self, video, monkeypatch):
+        # A plane reader that fell back to per-candidate six-tap filtering
+        # under the instrumented backend would make ~17 calls per search.
+        plain = encode("h264", video)
+        luma_planes = []
+        padded = WorkingFrame.padded
+
+        def recording(frame, name, search_range):
+            plane = padded(frame, name, search_range)
+            if name == "y" and all(plane is not seen for seen in luma_planes):
+                luma_planes.append(plane)
+            return plane
+
+        monkeypatch.setattr(WorkingFrame, "padded", recording)
+        telemetry.enable()
+        traced = encode("h264", video)
+        telemetry.disable()
+        assert [p.payload for p in traced.pictures] == [p.payload for p in plain.pictures]
+        calls = telemetry.registry().value("kernels.simd.mc_qpel_h264.calls")
+        assert luma_planes
+        assert 0 < calls <= 3 * len(luma_planes)
+
+
+# ---------------------------------------------------------------------------
+# motion-search counters
+# ---------------------------------------------------------------------------
+
+class _PerCandidate:
+    """Cost proxy that scores a batch as one ``evaluate`` call per candidate."""
+
+    def __init__(self, cost) -> None:
+        self._cost = cost
+
+    def evaluate_many(self, mvs):
+        return [self._cost.evaluate(mv) for mv in mvs]
+
+    def __getattr__(self, name):
+        return getattr(self._cost, name)
+
+
+class TestSearchPointCounts:
+    @staticmethod
+    def _cost():
+        rng = np.random.default_rng(5)
+        reference = rng.integers(0, 256, (48, 48)).astype(np.int64)
+        return MotionCost(
+            kernels=get_kernels("simd"),
+            current=reference[18:34, 21:37],
+            reference=pad_plane(reference, 8),
+            x=16, y=16, width=16, height=16,
+            predictor=MotionVector(1, 0),
+            lagrangian=4,
+            search_range=8,
+        )
+
+    @pytest.mark.parametrize("search", [
+        full_search,
+        hexagon_search,
+        lambda cost: epzs_search(cost, [MotionVector(2, 2), MotionVector(-3, 1)]),
+    ])
+    def test_points_equal_through_evaluate_or_evaluate_many(self, search):
+        batched = counting_cost(self._cost())
+        per_candidate = counting_cost(self._cost())
+        result_batched = search(batched)
+        result_single = search(_PerCandidate(per_candidate))
+        assert result_batched == result_single
+        assert batched.points == per_candidate.points > 0
+        assert batched.evaluations == per_candidate.evaluations
+
+    def test_evaluate_many_counts_every_candidate(self):
+        counted = counting_cost(self._cost())
+        counted.evaluate_many([ZERO_MV, ZERO_MV, MotionVector(1, 1)])
+        counted.evaluate(ZERO_MV)
+        assert counted.points == 4
+        assert counted.evaluations == 2
 
 
 # ---------------------------------------------------------------------------
