@@ -1,44 +1,50 @@
-"""Atomic-write rule: durable state lands via temp + ``os.replace``.
+"""Durable-write rule: files are written only through ``repro.durable``.
 
-The observe store and the artifact cache are the repo's durability
-backbone, and the chaos harness (:mod:`repro.chaos`) proves their crash
-recovery *only along the write paths that follow the discipline*: write
-the full payload to a temp name, fsync, then ``os.replace`` into place
-(or append a single whole line on an ``O_APPEND`` descriptor through
-the :func:`repro.chaos.fileops` seam).  A plain ``open(path, "w")`` in
-these packages is a torn-write waiting for a crash — the file exists in
-a half-written state a reader (or fsck) must then cope with, outside
-every recovery guarantee the harness certifies.
+Benchmark history is only comparable, and crash recovery only provable,
+when every durable file goes through one writer.
+:mod:`repro.durable` is that writer: ``replace`` (temp, fsync, swap)
+and ``append`` (one ``O_APPEND`` write), both through the
+:func:`repro.chaos.fileops` seam the chaos harness injects faults into.
+Result records go one level higher, through
+:class:`repro.observe.store.HistoryStore`, which the regression gate,
+trend queries and compaction read.  A plain ``open(path, "w")`` in the
+benchmark or durable-state packages is both a side channel those readers
+never see and a torn write waiting for a crash.
 
-HDVB190 flags, inside ``observe/`` and ``orchestrate/``:
+HDVB190 flags, inside ``bench/``, ``robustness/bench.py``,
+``transport/bench.py``, ``observe/`` and ``orchestrate/``:
 
-* builtin ``open(...)`` with a creating/truncating mode (``w``/``a``/
-  ``x``, text **or** binary — unlike HDVB160, binary writes are in
-  scope because artifacts are binary);
-* ``Path.write_text(...)`` / ``Path.write_bytes(...)`` calls;
+* builtin ``open(...)`` with a creating or truncating mode (``w``/``a``/
+  ``x``, text or binary);
+* ``Path.write_text(...)`` / ``Path.write_bytes(...)``;
+* ``json.dump(...)`` (``json.dumps`` is rendering, not persistence).
 
-**unless** the enclosing function also calls ``os.replace`` (the
-temp-then-swap pattern: the open is the temp write) or routes through
-the chaos ``fileops()`` seam.  Intentional non-durable writes (reports,
-exports) carry an inline ``# hdvb: disable=HDVB190`` with a comment
-saying why tearing is harmless.
+``repro/durable.py`` sits outside every scoped package.  Intentional
+non-durable writes (a ``--trace`` export, an ``--output`` report) carry
+an inline ``# hdvb: disable=HDVB190`` with a comment saying why a torn
+write is harmless.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, Tuple
 
 from repro.analysis.findings import Finding
 from repro.analysis.rules import ModuleUnit, Rule, dotted_name, in_scope, register
 
-#: Packages whose writes must be atomic (the durability backbone).
-ATOMIC_SCOPE_PREFIXES: Tuple[str, ...] = ("observe/", "orchestrate/")
+#: Packages whose files must be written through repro.durable.
+DURABLE_SCOPE_PREFIXES: Tuple[str, ...] = ("bench/", "observe/",
+                                           "orchestrate/")
+DURABLE_SCOPE_FILES: Tuple[str, ...] = (
+    "robustness/bench.py",
+    "transport/bench.py",
+)
 
 #: ``open`` modes that create or truncate — text or binary alike.
 _WRITE_MODE_CHARS = frozenset({"w", "a", "x"})
 
-#: Method names that write a whole file non-atomically.
+#: Method names that write a whole file in place.
 _WRITE_METHODS = frozenset({"write_text", "write_bytes"})
 
 
@@ -57,90 +63,55 @@ def _open_write_mode(call: ast.Call) -> bool:
     return bool(_WRITE_MODE_CHARS & set(mode_node.value))
 
 
-def _function_calls(function: ast.AST) -> List[ast.Call]:
-    return [node for node in ast.walk(function)
-            if isinstance(node, ast.Call)]
-
-
-def _uses_replace_or_seam(calls: List[ast.Call], unit: ModuleUnit) -> bool:
-    """True when the function swaps atomically or writes via fileops()."""
-    aliases = unit.module_aliases()
-    imported = unit.imported_names()
-    for call in calls:
-        dotted = dotted_name(call.func)
-        if dotted is None:
-            continue
-        base = dotted.split(".", 1)[0]
-        if dotted.endswith(".replace") and aliases.get(base) == "os":
-            return True
-        if imported.get(dotted, "").endswith("os.replace"):
-            return True
-        if dotted == "fileops" or dotted.endswith(".fileops"):
-            return True
-    return False
-
-
 @register
-class AtomicWriteRule(Rule):
-    """HDVB190: durable-state packages write via temp + os.replace."""
+class DurableWriteRule(Rule):
+    """HDVB190: scoped packages write files only via repro.durable."""
 
     rule_id = "HDVB190"
-    name = "atomic-write"
+    name = "durable-write"
     rationale = (
-        "the chaos harness certifies crash recovery only for writes that "
-        "follow the temp+os.replace (or O_APPEND-line) discipline; a "
-        "plain open-for-write in observe/ or orchestrate/ can be torn by "
-        "a crash into a half-written file outside every recovery "
-        "guarantee"
+        "the observe store, the artifact cache and the scheduler are "
+        "crash-safe only along repro.durable's write path, and the "
+        "regression gate sees only the store; an ad-hoc open-for-write, "
+        "write_text/write_bytes or json.dump is a torn write under crash "
+        "and a result sink no reader sees"
     )
     hint = (
-        "write the payload to a '<name>.tmp' sibling through the "
-        "repro.chaos fileops() seam, fsync, then os.replace it into "
-        "place; or add '# hdvb: disable=HDVB190' with a comment saying "
-        "why a torn write is harmless here"
+        "append BenchRecords with repro.observe.store.HistoryStore, or "
+        "write the file with repro.durable.replace / repro.durable.append; "
+        "or add '# hdvb: disable=HDVB190' with a comment saying why a "
+        "torn write is harmless here"
     )
 
     def check(self, unit: ModuleUnit) -> Iterator[Finding]:
-        if unit.tree is None:
+        if unit.tree is None or not in_scope(
+                unit.module, DURABLE_SCOPE_PREFIXES, DURABLE_SCOPE_FILES):
             return
-        if not in_scope(unit.module, ATOMIC_SCOPE_PREFIXES):
-            return
+        aliases = unit.module_aliases()
         imported = unit.imported_names()
-        # Walk function by function: os.replace anywhere in the same
-        # function marks the whole function as the temp-then-swap
-        # pattern, module-level writes have no such excuse.
-        functions = [node for node in ast.walk(unit.tree)
-                     if isinstance(node, (ast.FunctionDef,
-                                          ast.AsyncFunctionDef))]
-        seen_calls = set()
-        for function in functions:
-            calls = _function_calls(function)
-            atomic = _uses_replace_or_seam(calls, unit)
-            for call in calls:
-                seen_calls.add(id(call))
-                if not atomic:
-                    yield from self._check_call(unit, call, imported)
         for node in ast.walk(unit.tree):
-            if isinstance(node, ast.Call) and id(node) not in seen_calls:
-                yield from self._check_call(unit, node, imported)
-
-    def _check_call(self, unit: ModuleUnit, call: ast.Call,
-                    imported: dict) -> Iterator[Finding]:
-        dotted = dotted_name(call.func)
-        if dotted is None:
-            return
-        if dotted == "open" and "open" not in imported:
-            if _open_write_mode(call):
-                yield self.finding(
-                    unit, call,
-                    "open() for writing without temp+os.replace in the "
-                    "same function is a torn write under crash",
-                )
-        else:
+            if not isinstance(node, ast.Call):
+                continue
+            dotted = dotted_name(node.func)
+            if dotted is None:
+                continue
+            base = dotted.split(".", 1)[0]
             method = dotted.rsplit(".", 1)[-1]
-            if method in _WRITE_METHODS and "." in dotted:
+            if ((aliases.get(base) == "json" and dotted.endswith(".dump"))
+                    or imported.get(dotted, "") == "json.dump"):
                 yield self.finding(
-                    unit, call,
-                    f"{method}() rewrites the file in place -- a crash "
-                    f"mid-write leaves it half-written",
-                )
+                    unit, node,
+                    "json.dump writes a file outside repro.durable and "
+                    "the observe store")
+            elif dotted == "open" and "open" not in imported:
+                if _open_write_mode(node):
+                    yield self.finding(
+                        unit, node,
+                        "open() for writing outside repro.durable is a "
+                        "torn write under crash")
+            elif method in _WRITE_METHODS and "." in dotted:
+                yield self.finding(
+                    unit, node,
+                    f"{method}() rewrites the file in place outside "
+                    f"repro.durable -- a crash mid-write leaves it "
+                    f"half-written")

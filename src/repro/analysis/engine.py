@@ -29,7 +29,6 @@ from repro.analysis import (  # noqa: F401 -- rule registration
     eventlog,
     orchestration,
     parity,
-    persistence,
     picklesafety,
     seams,
     sharedstate,

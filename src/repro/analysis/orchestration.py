@@ -1,25 +1,16 @@
-"""Orchestrator-cell rule: results via the store, errors via the taxonomy.
+"""Orchestrator-cell rule: every orchestrator failure is an OrchestrateError.
 
-The orchestrator's two contracts are load-bearing for everything built on
-top of it:
+A thousand-cell matrix is only diagnosable through one error shape.
+Every failure crossing an orchestrator boundary must be an
+:class:`~repro.errors.OrchestrateError` carrying the spec name and cell
+identity; a raw ``ValueError`` from spec parsing or cache I/O surfaces
+as an anonymous traceback with no way to tell *which cell of which spec*
+broke.
 
-* **Resume and gating depend on the store being the only sink.**  A cell
-  is "completed" iff its record is in the history store; an orchestrator
-  module that writes results through ``json.dump`` or its own text file
-  creates state the resume scan and the OBS207 gate never see, so a
-  rerun re-executes (or worse, skips) the wrong cells.  Artifact and
-  manifest files are exempt by construction: they are binary,
-  temp-then-``os.replace`` writes, which this rule (like HDVB160) does
-  not flag.
-* **A thousand-cell matrix is only diagnosable through one error
-  shape.**  Every failure crossing an orchestrator boundary must be an
-  :class:`~repro.errors.OrchestrateError` carrying the spec name and
-  cell identity; a raw ``ValueError`` from spec parsing or cache I/O
-  surfaces as an anonymous traceback with no way to tell *which cell of
-  which spec* broke.
-
-HDVB180 enforces both statically over ``orchestrate/``, extending the
-HDVB160 (result-sink) and HDVB110 (raise-taxonomy) machinery.
+HDVB180 enforces this statically over ``orchestrate/``, extending the
+HDVB110 (raise-taxonomy) machinery.  The orchestrator's other contract,
+results only via the observe store, is HDVB190's
+(:mod:`repro.analysis.atomicity`).
 """
 
 from __future__ import annotations
@@ -28,8 +19,7 @@ import ast
 from typing import Iterator, Tuple
 
 from repro.analysis.findings import Finding
-from repro.analysis.persistence import _is_write_mode
-from repro.analysis.rules import ModuleUnit, Rule, dotted_name, in_scope, register
+from repro.analysis.rules import ModuleUnit, Rule, in_scope, register
 from repro.analysis.taxonomy import FORBIDDEN_RAISES
 
 #: The orchestrator modules this rule governs.
@@ -38,62 +28,32 @@ ORCHESTRATE_SCOPE: Tuple[str, ...] = ("orchestrate/",)
 
 @register
 class OrchestratorCellRule(Rule):
-    """HDVB180: orchestrator cells persist via the store and raise
-    OrchestrateError."""
+    """HDVB180: orchestrator code raises OrchestrateError."""
 
     rule_id = "HDVB180"
     name = "orchestrator-cell"
     rationale = (
-        "the orchestrator's resume scan and OBS207 gate read only the "
-        "observe store, so an ad-hoc result sink desynchronises rerun "
-        "state; and a cell failure that is not an OrchestrateError loses "
-        "the spec/cell identity that makes a matrix failure attributable"
+        "a cell failure that is not an OrchestrateError loses the "
+        "spec/cell identity that makes a matrix failure attributable"
     )
     hint = (
-        "persist through repro.observe.store.HistoryStore and raise "
-        "repro.errors.OrchestrateError (spec=..., cell=...) instead of a "
-        "builtin exception"
+        "raise repro.errors.OrchestrateError (spec=..., cell=...) instead "
+        "of a builtin exception"
     )
 
     def check(self, unit: ModuleUnit) -> Iterator[Finding]:
         if unit.tree is None or not in_scope(unit.module, ORCHESTRATE_SCOPE,
                                              ()):
             return
-        aliases = unit.module_aliases()
-        imported = unit.imported_names()
         for node in ast.walk(unit.tree):
-            if isinstance(node, ast.Raise) and node.exc is not None:
-                target = node.exc
-                if isinstance(target, ast.Call):
-                    target = target.func
-                if (isinstance(target, ast.Name)
-                        and target.id in FORBIDDEN_RAISES):
-                    yield self.finding(
-                        unit, node,
-                        f"orchestrator code raises builtin {target.id} "
-                        f"instead of OrchestrateError",
-                    )
+            if not isinstance(node, ast.Raise) or node.exc is None:
                 continue
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = dotted_name(node.func)
-            if dotted is None:
-                continue
-            base = dotted.split(".", 1)[0]
-            if (
-                (aliases.get(base) == "json" and dotted.endswith(".dump"))
-                or imported.get(dotted, "") == "json.dump"
-            ):
+            target = node.exc
+            if isinstance(target, ast.Call):
+                target = target.func
+            if isinstance(target, ast.Name) and target.id in FORBIDDEN_RAISES:
                 yield self.finding(
                     unit, node,
-                    "json.dump in an orchestrator module is an ad-hoc "
-                    "result sink the resume scan and OBS207 gate never "
-                    "see",
-                )
-            elif (dotted == "open" and "open" not in imported
-                  and _is_write_mode(node)):
-                yield self.finding(
-                    unit, node,
-                    "open(..., mode with 'w'/'a'/'x') in an orchestrator "
-                    "module writes results outside the observe store",
+                    f"orchestrator code raises builtin {target.id} "
+                    f"instead of OrchestrateError",
                 )

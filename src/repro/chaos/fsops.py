@@ -1,12 +1,11 @@
 """The filesystem seam: real ops by default, chaos when activated.
 
-Durable code in :mod:`repro.observe.store` and
-:mod:`repro.orchestrate.artifacts` never calls ``os.open``/``os.replace``
-directly for its critical writes; it goes through :func:`fileops`, which
-returns the passthrough :class:`FileOps` unless a :class:`ChaosFS` has
-been :func:`activate`\\ d.  Production cost is one attribute lookup; test
-benefit is that every torn write, full disk, lying fsync and stale lock
-the real world can produce is reproducible from a seed.
+Durable writes never call ``os.open``/``os.replace`` directly; they go
+through :mod:`repro.durable`, which writes through :func:`fileops`.
+That returns the passthrough :class:`FileOps` unless a :class:`ChaosFS`
+has been :func:`activate`\\ d.  Production cost is one attribute
+lookup; test benefit is that every torn write, full disk, lying fsync
+and stale lock the real world can produce is reproducible from a seed.
 
 Crash points are the second seam: durable code brackets its critical
 sections with ``crash_point("store.append.pre_write", path)`` calls.

@@ -4,7 +4,7 @@ One JSONL file, one :class:`~repro.observe.record.BenchRecord` per line,
 newest last.  Three properties matter:
 
 * **atomic appends** — each record is serialised to a single line and
-  written with one ``os.write`` on an ``O_APPEND`` descriptor, so
+  written with one ``O_APPEND`` write (:func:`repro.durable.append`), so
   concurrent recorders (parallel CI shards, a bench running while the
   gate reads) interleave whole lines, never torn ones;
 * **tolerant reads** — a malformed line (a crashed writer, a hand edit)
@@ -15,28 +15,28 @@ newest last.  Three properties matter:
   rewriting the whole file;
 * **bounded growth** — :meth:`HistoryStore.compact` keeps the newest N
   records per (bench, axis) and atomically replaces the file
-  (temp file + ``os.replace``), preserving relative order.
+  (:func:`repro.durable.replace`), preserving relative order.
 
-All critical writes go through the :func:`repro.chaos.fileops` seam and
-announce named crash points, so the chaos harness
-(:mod:`repro.chaos.harness`) can kill this code at every seam and prove
-fsck + resume recover bit-identically.
+All writes go through :mod:`repro.durable` (and so the
+:func:`repro.chaos.fileops` seam) and announce named crash points, so
+the chaos harness (:mod:`repro.chaos.harness`) can kill this code at
+every seam and prove fsck + resume recover bit-identically.
 
 The store is the single sanctioned result sink: ``hdvb-lint`` rule
-HDVB160 (:mod:`repro.analysis.persistence`) flags benchmark code that
-writes result dicts anywhere else.
+HDVB190 (:mod:`repro.analysis.atomicity`) flags benchmark code that
+writes result files any other way.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from repro import durable
 from repro.chaos.fsops import crash_point, fileops
-from repro.errors import CrashInjected, ObserveError
+from repro.errors import ObserveError
 from repro.observe.record import BenchRecord
 
 #: Default store directory, relative to the invocation directory.
@@ -48,9 +48,9 @@ HISTORY_FILENAME = "history.jsonl"
 #: Quarantined-corruption sidecar written by ``hdvb-observe fsck --repair``.
 QUARANTINE_FILENAME = "quarantine.jsonl"
 
-#: Temp name used by compaction; a survivor is debris from a crash
-#: between writing it and the ``os.replace`` swap, and fsck deletes it.
-COMPACT_TMP_FILENAME = HISTORY_FILENAME + ".compact.tmp"
+#: Temp name of every history rewrite (compaction and fsck repair); a
+#: survivor is debris from a crash before the swap, and fsck deletes it.
+COMPACT_TMP_FILENAME = HISTORY_FILENAME + durable.TEMP_SUFFIX
 
 #: Default per-axis retention for :meth:`HistoryStore.compact`.
 DEFAULT_KEEP_LAST = 50
@@ -111,30 +111,13 @@ class HistoryStore:
         """Append one record atomically (single O_APPEND write)."""
         payload = _serialise(record)
         self.root.mkdir(parents=True, exist_ok=True)
-        ops = fileops()
         crash_point("store.append.pre_write", str(self.path))
         try:
-            descriptor = ops.open(
-                str(self.path), os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-            )
+            durable.append(str(self.path), payload,
+                           tear_point="store.append.mid_write")
         except OSError as error:
-            raise ObserveError(f"cannot open history {self.path} for append: "
+            raise ObserveError(f"append to {self.path} failed: "
                                f"{error}") from error
-        try:
-            try:
-                written = ops.write(descriptor, payload, path=str(self.path),
-                                    tear_point="store.append.mid_write")
-            except CrashInjected:
-                raise
-            except OSError as error:
-                raise ObserveError(f"append to {self.path} failed: "
-                                   f"{error}") from error
-            if written != len(payload):
-                raise ObserveError(
-                    f"short write to {self.path}: {written}/{len(payload)} bytes"
-                )
-        finally:
-            ops.close(descriptor)
         crash_point("store.append.post_write", str(self.path))
 
     def append_many(self, records: Iterable[BenchRecord]) -> int:
@@ -261,7 +244,7 @@ class HistoryStore:
     def compact(self, keep_last: int = DEFAULT_KEEP_LAST) -> int:
         """Keep the newest ``keep_last`` records per (bench, axis).
 
-        The file is rewritten through a temp file + ``os.replace`` so a
+        The file is rewritten through :func:`repro.durable.replace` so a
         reader never observes a half-written history; a crash before the
         swap leaves the original intact plus temp debris fsck deletes.
         Returns the number of records dropped.
@@ -285,31 +268,11 @@ class HistoryStore:
         dropped = len(records) - len(kept)
         if dropped == 0 and self.skipped_lines == 0:
             return 0
-        ops = fileops()
-        temp = str(self.compact_tmp_path)
+        payload = b"".join(_serialise(record) for record in kept)
         try:
-            descriptor = ops.open(
-                temp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-            try:
-                for record in kept:
-                    payload = _serialise(record)
-                    written = ops.write(descriptor, payload, path=temp)
-                    if written != len(payload):
-                        raise ObserveError(
-                            f"short write to {temp}: "
-                            f"{written}/{len(payload)} bytes")
-                ops.fsync(descriptor)
-            finally:
-                ops.close(descriptor)
-            crash_point("store.compact.pre_replace", temp)
-            ops.replace(temp, str(self.path))
-        except CrashInjected:
-            raise  # simulated death: leave the debris a real crash leaves
-        except (OSError, ObserveError) as error:
-            if os.path.exists(temp):
-                os.unlink(temp)
-            if isinstance(error, ObserveError):
-                raise
+            durable.replace(str(self.path), payload,
+                            pre_replace="store.compact.pre_replace")
+        except OSError as error:
             raise ObserveError(f"compaction of {self.path} failed: "
                                f"{error}") from error
         crash_point("store.compact.post_replace", str(self.path))

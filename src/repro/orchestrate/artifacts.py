@@ -16,9 +16,9 @@ discipline (everything atomic, readers never see a half-written entry)::
     <root>/<fp[:2]>/<fp>/meta.json       # fingerprint fields + metrics
     <root>/<fp[:2]>/<fp>.lock            # leader's single-flight claim
 
-Both files are written to temp names and ``os.replace``d into place;
-``meta.json`` lands **last** and is the commit point — an entry exists
-iff its meta file does.  Single flight across *processes* uses an
+Both files are written through :func:`repro.durable.replace` (temp
+name, fsync, swap); ``meta.json`` lands **last** and is the commit
+point — an entry exists iff its meta file does.  Single flight across *processes* uses an
 ``O_CREAT | O_EXCL`` lock file: the first producer for a key becomes the
 leader and encodes; concurrent producers (forked test writers, parallel
 scheduler workers, a second orchestrator on the same cache) observe the
@@ -38,11 +38,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple
 
+from repro import durable
 from repro.chaos.fsops import crash_point, fileops
 from repro.codecs.base import EncodedVideo
 from repro.codecs.container import pack, unpack
 from repro.common.yuv import YuvSequence
-from repro.errors import CrashInjected, OrchestrateError
+from repro.errors import OrchestrateError
 from repro.telemetry.metrics import registry as telemetry_registry
 from repro.telemetry.trace import state as telemetry_state
 
@@ -247,40 +248,21 @@ class ArtifactCache:
             "context": dict(context or {}),
         }
         meta_bytes = json.dumps(meta, sort_keys=True, indent=2).encode("utf-8")
-        # artifact first, meta last: meta.json is the commit point.
+        # artifact first, meta last: meta.json is the commit point.  The
+        # temps are safe to share: the writer holds the entry lock.
         crash_point("artifacts.commit.pre_artifact", str(entry_dir))
-        self._atomic_write(entry_dir / "artifact.hdvb", payload)
-        crash_point("artifacts.commit.pre_meta", str(entry_dir))
-        self._atomic_write(entry_dir / "meta.json", meta_bytes)
+        try:
+            durable.replace(str(entry_dir / "artifact.hdvb"), payload,
+                            pre_replace="artifacts.write.pre_replace")
+            crash_point("artifacts.commit.pre_meta", str(entry_dir))
+            durable.replace(str(entry_dir / "meta.json"), meta_bytes,
+                            pre_replace="artifacts.write.pre_replace")
+        except OSError as error:
+            raise OrchestrateError(
+                f"cannot write cache entry {entry_dir}: {error}") from error
         crash_point("artifacts.commit.post_meta", str(entry_dir))
         return ArtifactEntry(fingerprint=fingerprint, path=entry_dir,
                              metrics=dict(metrics))
-
-    def _atomic_write(self, path: Path, data: bytes) -> None:
-        ops = fileops()
-        temp = str(path) + ".tmp"       # safe: writer holds the entry lock
-        try:
-            descriptor = ops.open(
-                temp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-            try:
-                written = ops.write(descriptor, data, path=temp)
-                if written != len(data):
-                    raise OrchestrateError(
-                        f"short write to {temp}: {written}/{len(data)} bytes")
-                ops.fsync(descriptor)
-            finally:
-                ops.close(descriptor)
-            crash_point("artifacts.write.pre_replace", temp)
-            ops.replace(temp, str(path))
-        except CrashInjected:
-            raise   # simulated death: leave the debris a real crash leaves
-        except (OSError, OrchestrateError) as error:
-            if os.path.exists(temp):
-                os.unlink(temp)
-            if isinstance(error, OrchestrateError):
-                raise
-            raise OrchestrateError(
-                f"cannot write cache file {path}: {error}") from error
 
     # ------------------------------------------------------------------
     # the cross-process lock

@@ -40,6 +40,7 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
+from repro import durable
 from repro.analysis.findings import Finding
 from repro.errors import OrchestrateError
 from repro.orchestrate.artifacts import ARTIFACT_SCHEMA, ArtifactCache
@@ -139,17 +140,10 @@ def _check_entry(cache: ArtifactCache, entry_dir: Path, repair: bool,
 
 
 def _rewrite_meta(meta_path: Path, meta: dict) -> None:
-    temp = str(meta_path) + ".tmp"
     payload = json.dumps(meta, sort_keys=True, indent=2).encode("utf-8")
     try:
-        with open(temp, "wb") as handle:
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp, str(meta_path))
+        durable.replace(str(meta_path), payload)
     except OSError as error:
-        if os.path.exists(temp):
-            os.unlink(temp)
         raise OrchestrateError(
             f"cannot rewrite cache meta {meta_path}: {error}") from error
 

@@ -8,13 +8,12 @@ enabled as the event log itself — no separate switch to forget.
 
 When something dies — a ``SessionAborted``, a ``CrashInjected`` chaos
 point, an unhandled supervisor escape, a failed observe gate — the
-recorder dumps the relevant ring **atomically** (temp file + fsync +
-``os.replace``, the HDVB190 invariant) into
-``.hdvb-bench-history/flightrec/`` so the post-mortem is a file, not a
-memory.  Dumps carry the trigger, the error's
-:meth:`~repro.errors.ReproError.to_context_dict`, the ring events in
-canonical (bit-reproducible) form, and the spans still open at the time
-of death.
+recorder dumps the relevant ring **atomically** (via
+:func:`repro.durable.replace`) into ``.hdvb-bench-history/flightrec/``
+so the post-mortem is a file, not a memory.  Dumps carry the trigger,
+the error's :meth:`~repro.errors.ReproError.to_context_dict`, the ring
+events in canonical (bit-reproducible) form, and the spans still open
+at the time of death.
 """
 
 from __future__ import annotations
@@ -25,6 +24,8 @@ import threading
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional
 
+from repro import durable
+from repro.chaos.fsops import FileOps
 from repro.telemetry import trace as _trace
 from repro.telemetry import events as _events
 
@@ -183,7 +184,12 @@ class FlightRecorder:
         name = "{0}-{1}-{2:04d}.json".format(
             _safe(correlation_id or "global"), _safe(trigger), seq)
         path = os.path.join(target_dir, name)
-        _atomic_write_json(path, document)
+        os.makedirs(target_dir, exist_ok=True)
+        payload = json.dumps(document, sort_keys=True, indent=2, default=str)
+        # Passthrough ops, never the chaos seam: a dump taken inside
+        # ChaosFS.maybe_crash must neither draw from the seeded fault
+        # stream (shifting every later fault) nor be faulted itself.
+        durable.replace(path, payload.encode("utf-8"), ops=FileOps())
         with self._lock:
             self.dumps.append(path)
         return path
@@ -212,23 +218,6 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, dict):
         return {str(key): _jsonable(item) for key, item in value.items()}
     return str(value)
-
-
-def _atomic_write_json(path: str, document: Dict[str, Any]) -> None:
-    """temp file + fsync + ``os.replace`` — a crash leaves old-or-new,
-    never a torn dump (the HDVB190 invariant)."""
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    payload = json.dumps(document, sort_keys=True, indent=2,
-                         default=str).encode("utf-8")
-    temp_path = path + ".tmp"
-    fd = os.open(temp_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-    try:
-        os.write(fd, payload)
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-    os.replace(temp_path, path)
 
 
 #: The process-global recorder.

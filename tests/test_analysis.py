@@ -51,9 +51,10 @@ class TestEngineBasics:
         ids = [rule.rule_id for rule in all_rules()]
         assert ids == sorted(ids)
         assert {"HDVB101", "HDVB102", "HDVB110", "HDVB111", "HDVB120",
-                "HDVB130", "HDVB140", "HDVB150", "HDVB160", "HDVB170",
-                "HDVB180", "HDVB190", "HDVB200", "HDVB201", "HDVB202",
-                "HDVB203", "HDVB210"} <= set(ids)
+                "HDVB130", "HDVB140", "HDVB150", "HDVB170", "HDVB180",
+                "HDVB190", "HDVB200", "HDVB201", "HDVB202", "HDVB203",
+                "HDVB210"} <= set(ids)
+        assert "HDVB160" not in ids     # folded into HDVB190
         for rule in all_rules():
             assert rule.name and rule.rationale, rule.rule_id
 
@@ -453,7 +454,7 @@ class TestResultSinkRule:
                 with open(path) as handle:
                     json.dump(rows, handle)
         """})
-        assert rule_ids(result) == ["HDVB160"]
+        assert rule_ids(result) == ["HDVB190"]
 
     def test_json_dump_from_import_flagged(self, tmp_path):
         result = lint_tree(tmp_path, {"robustness/bench.py": """
@@ -462,7 +463,7 @@ class TestResultSinkRule:
             def save(rows, handle):
                 dump(rows, handle)
         """})
-        assert rule_ids(result) == ["HDVB160"]
+        assert rule_ids(result) == ["HDVB190"]
 
     def test_open_for_writing_flagged(self, tmp_path):
         result = lint_tree(tmp_path, {"transport/bench.py": """
@@ -470,7 +471,7 @@ class TestResultSinkRule:
                 with open(path, "w", encoding="utf-8") as handle:
                     handle.write(text)
         """})
-        assert rule_ids(result) == ["HDVB160"]
+        assert rule_ids(result) == ["HDVB190"]
 
     def test_append_mode_keyword_flagged(self, tmp_path):
         result = lint_tree(tmp_path, {"bench/sweep.py": """
@@ -478,7 +479,7 @@ class TestResultSinkRule:
                 with open(path, mode="a") as handle:
                     handle.write(text)
         """})
-        assert rule_ids(result) == ["HDVB160"]
+        assert rule_ids(result) == ["HDVB190"]
 
     def test_clean_twin_uses_the_store(self, tmp_path):
         result = lint_tree(tmp_path, {"bench/sweep.py": """
@@ -513,7 +514,7 @@ class TestResultSinkRule:
     def test_inline_suppression(self, tmp_path):
         result = lint_tree(tmp_path, {"bench/sweep.py": """
             def save(text, path):
-                with open(path, "w") as handle:  # hdvb: disable=HDVB160
+                with open(path, "w") as handle:  # hdvb: disable=HDVB190
                     handle.write(text)
         """})
         assert result.clean
@@ -731,8 +732,9 @@ class TestCli:
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule_id in ("HDVB101", "HDVB110", "HDVB120", "HDVB130",
-                        "HDVB140", "HDVB150", "HDVB160"):
+                        "HDVB140", "HDVB150", "HDVB190"):
             assert rule_id in out
+        assert "HDVB160" not in out
 
     def test_write_baseline_round_trip(self, tmp_path, capsys):
         target = tmp_path / "codecs"
@@ -843,21 +845,20 @@ class TestOrchestratorCellRule:
             def save(results, handle):
                 json.dump(results, handle)
         """})
-        assert rule_ids(result) == ["HDVB180"]
+        assert rule_ids(result) == ["HDVB190"]
 
     def test_text_write_sink_flagged(self, tmp_path):
-        # Also a non-atomic write, so the HDVB190 atomicity rule co-fires.
         result = lint_tree(tmp_path, {"orchestrate/evil.py": """
             def save(results, path):
                 with open(path, "w") as handle:
                     handle.write(str(results))
         """})
-        assert sorted(rule_ids(result)) == ["HDVB180", "HDVB190"]
+        assert rule_ids(result) == ["HDVB190"]
 
-    def test_binary_atomic_write_is_legal(self, tmp_path):
-        # Artifact/manifest files are binary temp+replace writes -- the
-        # sanctioned layout, not an ad-hoc result sink.
-        result = lint_tree(tmp_path, {"orchestrate/clean.py": """
+    def test_hand_rolled_binary_temp_replace_flagged(self, tmp_path):
+        # A temp+replace written by hand is no longer exempt: only
+        # repro.durable may write durable files.
+        result = lint_tree(tmp_path, {"orchestrate/evil.py": """
             import json
             import os
 
@@ -865,6 +866,17 @@ class TestOrchestratorCellRule:
                 with open(path + ".tmp", "wb") as handle:
                     handle.write(json.dumps(payload).encode("utf-8"))
                 os.replace(path + ".tmp", path)
+        """})
+        assert rule_ids(result) == ["HDVB190"]
+
+    def test_durable_replace_commit_is_clean(self, tmp_path):
+        result = lint_tree(tmp_path, {"orchestrate/clean.py": """
+            import json
+
+            from repro import durable
+
+            def commit(path, payload):
+                durable.replace(path, json.dumps(payload).encode("utf-8"))
         """})
         assert result.clean
 
@@ -910,7 +922,7 @@ class TestAtomicWriteRule:
                 with open(path, "wb") as handle:
                     handle.write(payload)
         """})
-        assert "HDVB190" in rule_ids(result)
+        assert rule_ids(result) == ["HDVB190"]
 
     def test_path_write_text_flagged(self, tmp_path):
         result = lint_tree(tmp_path, {"observe/evil.py": """
@@ -919,8 +931,10 @@ class TestAtomicWriteRule:
         """})
         assert rule_ids(result) == ["HDVB190"]
 
-    def test_replace_in_same_function_is_atomic(self, tmp_path):
-        result = lint_tree(tmp_path, {"observe/clean.py": """
+    def test_replace_in_same_function_flagged(self, tmp_path):
+        # os.replace in the same function used to exempt the open; the
+        # hand-rolled copy is what repro.durable replaced.
+        result = lint_tree(tmp_path, {"observe/evil.py": """
             import os
 
             def save(path, payload):
@@ -930,21 +944,29 @@ class TestAtomicWriteRule:
                     os.fsync(handle.fileno())
                 os.replace(path + ".tmp", path)
         """})
-        assert result.clean
+        assert rule_ids(result) == ["HDVB190"]
 
-    def test_fileops_seam_is_atomic(self, tmp_path):
-        result = lint_tree(tmp_path, {"observe/clean.py": """
-            import os
-
+    def test_fileops_in_same_function_flagged(self, tmp_path):
+        # Calling fileops() used to exempt every write in the function.
+        result = lint_tree(tmp_path, {"observe/evil.py": """
             from repro.chaos.fsops import fileops
 
-            def append(path, payload):
-                ops = fileops()
-                fd = ops.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
-                try:
-                    ops.write(fd, payload, path=path)
-                finally:
-                    ops.close(fd)
+            def save(path, payload):
+                with open(path + ".tmp", "wb") as handle:
+                    handle.write(payload)
+                fileops().replace(path + ".tmp", path)
+        """})
+        assert rule_ids(result) == ["HDVB190"]
+
+    def test_durable_writes_are_clean(self, tmp_path):
+        result = lint_tree(tmp_path, {"observe/clean.py": """
+            from repro import durable
+
+            def save(path, payload):
+                durable.replace(path, payload)
+
+            def append(path, line):
+                durable.append(path, line)
         """})
         assert result.clean
 
@@ -957,11 +979,20 @@ class TestAtomicWriteRule:
         assert result.clean
 
     def test_outside_scope_ignored(self, tmp_path):
-        result = lint_tree(tmp_path, {"bench/report_writer.py": """
+        result = lint_tree(tmp_path, {"codecs/report_writer.py": """
             def save(path, text):
                 path.write_text(text)
         """})
         assert result.clean
+
+    def test_bench_scope_covers_binary_and_path_writes(self, tmp_path):
+        result = lint_tree(tmp_path, {"bench/report_writer.py": """
+            def save(path, payload):
+                path.write_bytes(payload)
+                with open(str(path) + ".bak", "wb") as handle:
+                    handle.write(payload)
+        """})
+        assert rule_ids(result) == ["HDVB190", "HDVB190"]
 
     def test_inline_suppression_respected(self, tmp_path):
         result = lint_tree(tmp_path, {"observe/cli_like.py": """

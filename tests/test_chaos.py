@@ -16,6 +16,7 @@ Four layers:
 
 from __future__ import annotations
 
+import ast
 import base64
 import json
 import multiprocessing
@@ -35,6 +36,7 @@ from repro.chaos import (
     crash_point,
     fileops,
 )
+from repro.analysis import LintCache
 from repro.chaos.harness import DEFAULT_SPEC, run_matrix, scenario_for
 from repro.errors import (
     ChaosError,
@@ -49,8 +51,8 @@ from repro.observe.store import HistoryStore
 from repro.orchestrate.artifacts import ArtifactCache, cell_fingerprint
 from repro.orchestrate.cache_cli import main as cache_main
 from repro.orchestrate.fsck import fsck_cache
-from repro.orchestrate.scheduler import run_cells
-from repro.orchestrate.spec import parse_spec
+from repro.orchestrate.scheduler import run_cells, write_manifests
+from repro.orchestrate.spec import expand_cells, parse_spec
 from repro.observe.cli import main as observe_main
 
 
@@ -77,6 +79,67 @@ def _committed_entry(tmp_path, name="cache"):
                               lambda: (_tiny_stream(), {"psnr_db": 30.0}))
     assert not hit
     return cache, entry.path
+
+
+class _DieBeforeSwap(ChaosFS):
+    """Simulated process death at the last step of a durable rewrite."""
+
+    def replace(self, src, dst):
+        raise CrashInjected("simulated death before the swap", path=src)
+
+
+def _store_append(tmp_path):
+    store = HistoryStore(str(tmp_path / "hist"))
+    return lambda: store.append(record()), ObserveError
+
+
+def _store_compact(tmp_path):
+    store = HistoryStore(str(tmp_path / "hist"))
+    store.append_many([record(run=f"r{i}") for i in range(3)])
+    return lambda: store.compact(keep_last=1), ObserveError
+
+
+def _artifact_commit(tmp_path):
+    cache = ArtifactCache(str(tmp_path / "cache"))
+    stream = _tiny_stream()
+    fingerprint = cell_fingerprint("mjpeg", "seq-hash", {"qscale": 8}, 1)
+    return (lambda: cache._commit(fingerprint, stream,
+                                  {"psnr_db": 30.0}, None),
+            OrchestrateError)
+
+
+def _manifests(tmp_path):
+    spec = parse_spec(DEFAULT_SPEC)
+    cells = expand_cells(spec)
+    return (lambda: write_manifests(spec, cells, 1, tmp_path / "shards"),
+            OrchestrateError)
+
+
+def _rewrite_meta(tmp_path):
+    cache, entry_dir = _committed_entry(tmp_path)
+    meta_path = entry_dir / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    del meta["sha256"]
+    meta_path.write_text(json.dumps(meta))
+    return lambda: fsck_cache(cache, repair=True), OrchestrateError
+
+
+def _lint_cache(tmp_path):
+    cache = LintCache(tmp_path / "lint")
+    tree = ast.parse("x = 1\n")
+    # None: a failed cache write degrades to a miss, never fails the lint.
+    return lambda: cache.store_tree("0" * 64, tree), None
+
+
+#: Every durable writer: a builder returning (action, domain error).
+_DURABLE_WRITERS = {
+    "store-append": _store_append,
+    "store-compact": _store_compact,
+    "artifact-commit": _artifact_commit,
+    "write-manifests": _manifests,
+    "rewrite-meta": _rewrite_meta,
+    "lint-cache": _lint_cache,
+}
 
 
 def _require_fork():
@@ -163,7 +226,8 @@ class TestInjectedFaults:
         plan = FaultPlan(seed=0, rate=1.0, kinds=["enospc"], ops=["open"],
                          max_faults=1)
         with activate(ChaosFS(plan)):
-            with pytest.raises(ObserveError, match="cannot open history"):
+            with pytest.raises(ObserveError,
+                               match="append to .* failed: .*No space left"):
                 store.append(record())
         assert plan.injected[0].kind == "enospc"
         # the key stays usable once the disk "recovers"
@@ -178,16 +242,31 @@ class TestInjectedFaults:
             with pytest.raises(ObserveError, match="append .* failed"):
                 store.append(record())
 
-    def test_short_write_detected_not_silent(self, tmp_path):
-        store = HistoryStore(str(tmp_path / "hist"))
+    @pytest.mark.parametrize("writer", list(_DURABLE_WRITERS))
+    def test_short_write_detected_not_silent(self, tmp_path, writer):
+        action, error = _DURABLE_WRITERS[writer](tmp_path)
         plan = FaultPlan(seed=0, rate=1.0, kinds=["short_write"],
                          ops=["write"], max_faults=1)
         with activate(ChaosFS(plan)):
-            with pytest.raises(ObserveError, match="short write"):
-                store.append(record())
-        # the torn prefix is on disk -- exactly what fsck must find
-        assert store.load() == []
-        assert store.malformed and store.malformed[0].reason == "truncated-tail"
+            if error is None:
+                action()
+            else:
+                with pytest.raises(error, match="short write"):
+                    action()
+        assert [fault.kind for fault in plan.injected] == ["short_write"]
+        # an OSError removes the temp; nothing half-written is swapped in
+        assert list(tmp_path.rglob("*.tmp")) == []
+        if writer == "store-append":
+            # the torn prefix is on disk -- exactly what fsck must find
+            store = HistoryStore(str(tmp_path / "hist"))
+            assert store.load() == []
+            assert store.malformed[0].reason == "truncated-tail"
+            return
+        # a simulated death before the swap leaves the temp, as kill -9 does
+        with activate(_DieBeforeSwap(FaultPlan())):
+            with pytest.raises(CrashInjected):
+                action()
+        assert len(list(tmp_path.rglob("*.tmp"))) == 1
 
     def test_fsync_lie_is_counted_and_non_fatal(self, tmp_path):
         store = HistoryStore(str(tmp_path / "hist"))
@@ -303,6 +382,25 @@ class TestStoreFsck:
         findings = fsck_store(store, repair=True)
         assert [f.rule_id for f in findings] == ["FSCK303"]
         assert not store.compact_tmp_path.exists()
+        assert fsck_store(store) == []
+
+    def test_failed_repair_leaves_no_temp_and_rewrite_temps_are_found(
+            self, tmp_path):
+        store = self._dirty_store(tmp_path)
+        plan = FaultPlan(seed=0, rate=1.0, kinds=["oserror"],
+                         ops=["replace"], max_faults=1)
+        with activate(ChaosFS(plan)):
+            with pytest.raises(ObserveError, match="fsck repair"):
+                fsck_store(store, repair=True)
+        assert [fault.op for fault in plan.injected] == ["replace"]
+        assert list(store.root.glob("*.tmp")) == []
+        # the debris a crash before the swap would leave behind
+        (store.root / "history.jsonl.tmp").write_bytes(b"debris")
+        findings = fsck_store(store, repair=True)
+        assert [f.rule_id for f in findings] == ["FSCK301", "FSCK302",
+                                                 "FSCK303"]
+        assert "orphan rewrite temp" in findings[-1].message
+        assert list(store.root.glob("*.tmp")) == []
         assert fsck_store(store) == []
 
     def test_malformed_lines_have_exact_offsets(self, tmp_path):
@@ -532,6 +630,17 @@ class TestCrashFlightDumps:
         for event in dump["events"]:
             assert event["schema"] == "repro.telemetry.event/1"
             assert {"wall", "pid", "tid"}.isdisjoint(event)
+
+    def test_dump_under_chaos_draws_no_faults(self, tmp_path):
+        from repro.telemetry import events, flightrec
+
+        events.enable()
+        plan = FaultPlan(seed=0, rate=1.0)
+        with activate(ChaosFS(plan)):
+            path = flightrec.recorder.dump("chaos.test")
+        events.disable()
+        assert plan.injected == []
+        assert json.loads(Path(path).read_text())["trigger"] == "chaos.test"
 
     def test_crash_timeline_reconstructs_identically(self, tmp_path):
         from repro.observe.timeline import build_timeline
