@@ -13,6 +13,13 @@ import numpy as np
 
 from repro.codecs.base import EncodedPicture, EncodedVideo, VideoDecoder
 from repro.codecs.frames import WorkingFrame
+from repro.codecs.recon import (
+    ZERO_MB,
+    add_and_store,
+    h264_blocks,
+    h264_chroma_residual,
+    h264_luma_residual,
+)
 from repro.codecs.h264 import common, intra
 from repro.codecs.h264.cavlc import CavlcCoder
 from repro.codecs.h264.deblock import DeblockFilter, DeblockMeta
@@ -124,12 +131,11 @@ class H264Decoder(VideoDecoder):
         return min(left, top)
 
     def _decode_i4_mb(self, reader: BitReader, mbx: int, mby: int) -> None:
-        kernels = self.kernels
-        qp = self._qp
         x0, y0 = 16 * mbx, 16 * mby
-        for block_index, (off_x, off_y) in enumerate(common.LUMA_OFFSETS):
-            x, y = x0 + off_x, y0 + off_y
-            bx, by = x // 4, y // 4
+        modes: List[str] = []
+        all_levels: List[Optional[np.ndarray]] = []
+        for off_x, off_y in common.LUMA_OFFSETS:
+            bx, by = (x0 + off_x) // 4, (y0 + off_y) // 4
             mpm = self._intra4_mpm(bx, by)
             if reader.read_bit():
                 mode_index = mpm
@@ -137,20 +143,19 @@ class H264Decoder(VideoDecoder):
                 remaining = reader.read_bits(2)
                 mode_index = remaining + (1 if remaining >= mpm else 0)
             self._intra4_modes[(bx, by)] = mode_index
-            prediction = intra.predict_luma4(
-                self._recon.y, x, y, intra.LUMA4_MODES[mode_index]
-            )
             scanned, total_coeff = self.cavlc.decode_block(
                 reader, 16, self._tc_luma.nc(bx, by)
             )
             self._tc_luma.set(bx, by, total_coeff)
-            if total_coeff:
-                levels = unscan4(scanned)
-                rebuilt = kernels.inv_transform4(kernels.dequant_h264_4x4(levels, qp))
-                pixels = kernels.add_clip(prediction, rebuilt)
-            else:
-                pixels = kernels.add_clip(prediction, np.zeros((4, 4), dtype=np.int64))
-            self._recon.store_block("y", x, y, pixels)
+            modes.append(intra.LUMA4_MODES[mode_index])
+            all_levels.append(unscan4(scanned) if total_coeff else None)
+        # Each block predicts from its reconstructed neighbours, so only the
+        # residuals are stacked; prediction and add run in raster order.
+        residual = h264_blocks(self.kernels, self._qp, all_levels)
+        for (off_x, off_y), mode, block in zip(common.LUMA_OFFSETS, modes, residual):
+            x, y = x0 + off_x, y0 + off_y
+            prediction = intra.predict_luma4(self._recon.y, x, y, mode)
+            self._recon.store_block("y", x, y, self.kernels.add_clip(prediction, block))
         self._meta.mark_intra_mb(mbx, mby)
         self._decode_intra_chroma(reader, mbx, mby)
 
@@ -164,27 +169,22 @@ class H264Decoder(VideoDecoder):
 
         nc_dc = self._tc_luma.nc(4 * mbx, 4 * mby)
         dc_scanned, _ = self.cavlc.decode_block(reader, 16, nc_dc)
-        dc_levels = unscan4(dc_scanned)
-        dc_rebuilt = kernels.dequant_h264_dc4(dc_levels, qp)
+        dc_rebuilt = kernels.dequant_h264_dc4(unscan4(dc_scanned), qp)
 
-        for block_index, (off_x, off_y) in enumerate(common.LUMA_OFFSETS):
+        all_levels: List[Optional[np.ndarray]] = []
+        for off_x, off_y in common.LUMA_OFFSETS:
             bx, by = (x0 + off_x) // 4, (y0 + off_y) // 4
             if has_ac:
                 scanned, total_coeff = self.cavlc.decode_block(
                     reader, 15, self._tc_luma.nc(bx, by)
                 )
-                levels = unscan4([0] + scanned)
+                all_levels.append(unscan4([0] + scanned))
             else:
                 total_coeff = 0
-                levels = np.zeros((4, 4), dtype=np.int64)
+                all_levels.append(None)
             self._tc_luma.set(bx, by, total_coeff)
-            coeffs = kernels.dequant_h264_4x4(levels, qp)
-            coeffs[0, 0] = dc_rebuilt[off_y // 4, off_x // 4]
-            pixels = kernels.add_clip(
-                prediction[off_y : off_y + 4, off_x : off_x + 4],
-                kernels.inv_transform4(coeffs),
-            )
-            self._recon.store_block("y", x0 + off_x, y0 + off_y, pixels)
+        residual = h264_luma_residual(kernels, qp, all_levels, dc_rebuilt)
+        self._recon.store_block("y", x0, y0, kernels.add_clip(prediction, residual))
         self._meta.mark_intra_mb(mbx, mby)
         self._decode_intra_chroma(reader, mbx, mby)
 
@@ -195,59 +195,70 @@ class H264Decoder(VideoDecoder):
             "u": intra.predict_block(self._recon.u, x, y, 8, mode),
             "v": intra.predict_block(self._recon.v, x, y, 8, mode),
         }
-        self._decode_chroma_residual(reader, prediction, mbx, mby)
+        residual = self._read_chroma_residual(reader, mbx, mby)
+        add_and_store(self.kernels, self._recon, mbx, mby, prediction, residual)
 
     # ------------------------------------------------------------------
-    # chroma residual
+    # residual syntax
     # ------------------------------------------------------------------
 
-    def _decode_chroma_residual(self, reader: BitReader,
-                                prediction: Dict[str, np.ndarray],
-                                mbx: int, mby: int) -> None:
+    def _read_chroma_residual(self, reader: BitReader,
+                              mbx: int, mby: int) -> Dict[str, np.ndarray]:
+        """Parse the chroma residual and rebuild the u and v residuals."""
         kernels = self.kernels
         qp = self._qp
         x0, y0 = 8 * mbx, 8 * mby
         cbp = read_ue(reader)
         if cbp > 2:
             raise BitstreamError(f"invalid chroma cbp {cbp}")
-        dc_levels: Dict[str, np.ndarray] = {}
+        dc_levels = []
         if cbp >= 1:
-            for plane in ("u", "v"):
+            for _ in ("u", "v"):
                 scanned, _ = self.cavlc.decode_block(reader, 4, 0)
-                dc_levels[plane] = unscan(scanned, ZIGZAG_2X2, 2)
-        ac_levels: Dict[str, List[np.ndarray]] = {"u": [], "v": []}
-        if cbp == 2:
-            for plane in ("u", "v"):
-                grid = self._tc_chroma[plane]
-                for off_x, off_y in common.CHROMA_OFFSETS:
-                    bx = (x0 + off_x) // 4
-                    by = (y0 + off_y) // 4
+                dc_levels.append(unscan(scanned, ZIGZAG_2X2, 2))
+        ac_levels: List[Optional[np.ndarray]] = []
+        for plane in ("u", "v"):
+            grid = self._tc_chroma[plane]
+            for off_x, off_y in common.CHROMA_OFFSETS:
+                bx, by = (x0 + off_x) // 4, (y0 + off_y) // 4
+                if cbp == 2:
                     scanned, total_coeff = self.cavlc.decode_block(
                         reader, 15, grid.nc(bx, by)
                     )
-                    grid.set(bx, by, total_coeff)
-                    ac_levels[plane].append(unscan4([0] + scanned))
-        else:
-            for plane in ("u", "v"):
-                grid = self._tc_chroma[plane]
-                for off_x, off_y in common.CHROMA_OFFSETS:
-                    grid.set((x0 + off_x) // 4, (y0 + off_y) // 4, 0)
-
-        for plane in ("u", "v"):
-            if cbp >= 1:
-                dc_rebuilt = kernels.dequant_h264_dc2(dc_levels[plane], qp)
-            else:
-                dc_rebuilt = np.zeros((2, 2), dtype=np.int64)
-            for block_index, (off_x, off_y) in enumerate(common.CHROMA_OFFSETS):
-                pred_block = prediction[plane][off_y : off_y + 4, off_x : off_x + 4]
-                if cbp == 2:
-                    levels = ac_levels[plane][block_index]
+                    ac_levels.append(unscan4([0] + scanned))
                 else:
-                    levels = np.zeros((4, 4), dtype=np.int64)
-                coeffs = kernels.dequant_h264_4x4(levels, qp)
-                coeffs[0, 0] = dc_rebuilt[off_y // 4, off_x // 4]
-                pixels = kernels.add_clip(pred_block, kernels.inv_transform4(coeffs))
-                self._recon.store_block(plane, x0 + off_x, y0 + off_y, pixels)
+                    total_coeff = 0
+                    ac_levels.append(None)
+                grid.set(bx, by, total_coeff)
+        dc = [kernels.dequant_h264_dc2(levels, qp) for levels in dc_levels]
+        return h264_chroma_residual(kernels, qp, ac_levels, dc or None)
+
+    def _read_luma_levels(self, reader: BitReader, mbx: int,
+                          mby: int) -> List[Optional[np.ndarray]]:
+        """Parse an inter macroblock's sixteen luma blocks; ``None`` = uncoded."""
+        x0, y0 = 16 * mbx, 16 * mby
+        cbp = reader.read_bits(4)
+        all_levels: List[Optional[np.ndarray]] = []
+        for block_index, (off_x, off_y) in enumerate(common.LUMA_OFFSETS):
+            bx, by = (x0 + off_x) // 4, (y0 + off_y) // 4
+            if cbp & (1 << common.luma_quadrant(block_index)):
+                scanned, total_coeff = self.cavlc.decode_block(
+                    reader, 16, self._tc_luma.nc(bx, by)
+                )
+            else:
+                scanned, total_coeff = None, 0
+            self._tc_luma.set(bx, by, total_coeff)
+            self._meta.set_nonzero(bx, by, total_coeff > 0)
+            all_levels.append(unscan4(scanned) if total_coeff else None)
+        return all_levels
+
+    def _decode_inter_residual(self, reader: BitReader,
+                               prediction: Dict[str, np.ndarray],
+                               mbx: int, mby: int) -> None:
+        luma = self._read_luma_levels(reader, mbx, mby)
+        residual = self._read_chroma_residual(reader, mbx, mby)
+        residual["y"] = h264_luma_residual(self.kernels, self._qp, luma)
+        add_and_store(self.kernels, self._recon, mbx, mby, prediction, residual)
 
     # ------------------------------------------------------------------
     # inter machinery
@@ -255,21 +266,21 @@ class H264Decoder(VideoDecoder):
 
     def _partition_prediction(
         self,
-        reference: WorkingFrame,
         mbx: int,
         mby: int,
-        assignments,
+        assignments: List[Tuple[WorkingFrame, Tuple[int, int, int, int], MotionVector]],
     ) -> Dict[str, np.ndarray]:
+        """Assemble an MB prediction from per-partition (reference, rect, mv)."""
         kernels = self.kernels
         search_range = self._search_range
-        luma = reference.padded("y", search_range)
         pred_y = np.zeros((16, 16), dtype=np.int64)
         pred_c = {
             "u": np.zeros((8, 8), dtype=np.int64),
             "v": np.zeros((8, 8), dtype=np.int64),
         }
-        for (off_x, off_y, width, height), mv in assignments:
+        for reference, (off_x, off_y, width, height), mv in assignments:
             check_motion_vector(mv, search_range, 4)
+            luma = reference.padded("y", search_range)
             px, py = luma.offset(16 * mbx + off_x, 16 * mby + off_y)
             pred_y[off_y : off_y + height, off_x : off_x + width] = kernels.mc_qpel_h264(
                 luma.plane, px, py, width, height, mv.x, mv.y
@@ -285,53 +296,18 @@ class H264Decoder(VideoDecoder):
                 )
         return {"y": pred_y, "u": pred_c["u"], "v": pred_c["v"]}
 
-    def _decode_luma_residual(self, reader: BitReader, prediction: np.ndarray,
-                              mbx: int, mby: int) -> None:
-        kernels = self.kernels
-        qp = self._qp
-        x0, y0 = 16 * mbx, 16 * mby
-        cbp = reader.read_bits(4)
-        for block_index, (off_x, off_y) in enumerate(common.LUMA_OFFSETS):
-            bx, by = (x0 + off_x) // 4, (y0 + off_y) // 4
-            pred_block = prediction[off_y : off_y + 4, off_x : off_x + 4]
-            if cbp & (1 << common.luma_quadrant(block_index)):
-                scanned, total_coeff = self.cavlc.decode_block(
-                    reader, 16, self._tc_luma.nc(bx, by)
-                )
-            else:
-                scanned, total_coeff = None, 0
-            self._tc_luma.set(bx, by, total_coeff)
-            self._meta.set_nonzero(bx, by, total_coeff > 0)
-            if total_coeff:
-                levels = unscan4(scanned)
-                rebuilt = kernels.inv_transform4(kernels.dequant_h264_4x4(levels, qp))
-                pixels = kernels.add_clip(pred_block, rebuilt)
-            else:
-                pixels = kernels.add_clip(pred_block, np.zeros((4, 4), dtype=np.int64))
-            self._recon.store_block("y", x0 + off_x, y0 + off_y, pixels)
-
     def _no_residual_recon(self, prediction: Dict[str, np.ndarray],
                            mbx: int, mby: int) -> None:
-        kernels = self.kernels
-        zero4 = np.zeros((4, 4), dtype=np.int64)
         x0, y0 = 16 * mbx, 16 * mby
         for off_x, off_y in common.LUMA_OFFSETS:
             bx, by = (x0 + off_x) // 4, (y0 + off_y) // 4
             self._tc_luma.set(bx, by, 0)
             self._meta.set_nonzero(bx, by, False)
-            pred_block = prediction["y"][off_y : off_y + 4, off_x : off_x + 4]
-            self._recon.store_block(
-                "y", x0 + off_x, y0 + off_y, kernels.add_clip(pred_block, zero4)
-            )
-        cx0, cy0 = 8 * mbx, 8 * mby
         for plane in ("u", "v"):
             grid = self._tc_chroma[plane]
             for off_x, off_y in common.CHROMA_OFFSETS:
-                grid.set((cx0 + off_x) // 4, (cy0 + off_y) // 4, 0)
-                pred_block = prediction[plane][off_y : off_y + 4, off_x : off_x + 4]
-                self._recon.store_block(
-                    plane, cx0 + off_x, cy0 + off_y, kernels.add_clip(pred_block, zero4)
-                )
+                grid.set((8 * mbx + off_x) // 4, (8 * mby + off_y) // 4, 0)
+        add_and_store(self.kernels, self._recon, mbx, mby, prediction, ZERO_MB)
 
     # ------------------------------------------------------------------
     # P macroblocks
@@ -346,7 +322,7 @@ class H264Decoder(VideoDecoder):
             mv = grid.predictor(bx, by, 4)
             grid.set_rect(bx, by, 4, 4, mv, 0)
             self._meta.mark_inter(bx, by, 4, 4, mv, 0)
-            prediction = self._partition_prediction(l0[0], mbx, mby, [((0, 0, 16, 16), mv)])
+            prediction = self._partition_prediction(mbx, mby, [(l0[0], (0, 0, 16, 16), mv)])
             self._no_residual_recon(prediction, mbx, mby)
             return
         if mode == common.P_I4:
@@ -359,22 +335,19 @@ class H264Decoder(VideoDecoder):
         if shape is None:
             raise BitstreamError(f"invalid P macroblock mode {mode}")
         assignments = []
-        reference = None
         for rect in PARTITION_SHAPES[shape]:
             off_x, off_y, width, height = rect
             pbx, pby = (16 * mbx + off_x) // 4, (16 * mby + off_y) // 4
             ref_index = read_ue(reader) if len(l0) > 1 else 0
             if ref_index >= len(l0):
                 raise BitstreamError(f"reference index {ref_index} out of range")
-            reference = l0[ref_index]
             predictor = grid.predictor(pbx, pby, width // 4)
             mv = MotionVector(predictor.x + read_se(reader), predictor.y + read_se(reader))
             grid.set_rect(pbx, pby, width // 4, height // 4, mv, ref_index)
             self._meta.mark_inter(pbx, pby, width // 4, height // 4, mv, ref_index)
-            assignments.append((rect, mv))
-        prediction = self._partition_prediction(reference, mbx, mby, assignments)
-        self._decode_luma_residual(reader, prediction["y"], mbx, mby)
-        self._decode_chroma_residual(reader, prediction, mbx, mby)
+            assignments.append((l0[ref_index], rect, mv))
+        prediction = self._partition_prediction(mbx, mby, assignments)
+        self._decode_inter_residual(reader, prediction, mbx, mby)
 
     # ------------------------------------------------------------------
     # B macroblocks
@@ -389,7 +362,7 @@ class H264Decoder(VideoDecoder):
             mv = self._grid_l0.predictor(bx, by, 4)
             self._grid_l0.set_rect(bx, by, 4, 4, mv, 0)
             self._meta.mark_inter(bx, by, 4, 4, mv, 0)
-            prediction = self._partition_prediction(forward, mbx, mby, [(rect, mv)])
+            prediction = self._partition_prediction(mbx, mby, [(forward, rect, mv)])
             self._no_residual_recon(prediction, mbx, mby)
             return
         if mode == common.B_I4:
@@ -414,14 +387,14 @@ class H264Decoder(VideoDecoder):
             )
             self._grid_l1.set_rect(bx, by, 4, 4, mv_bwd, 0)
         if mode == common.B_FWD:
-            prediction = self._partition_prediction(forward, mbx, mby, [(rect, mv_fwd)])
+            prediction = self._partition_prediction(mbx, mby, [(forward, rect, mv_fwd)])
             self._meta.mark_inter(bx, by, 4, 4, mv_fwd, 0)
         elif mode == common.B_BWD:
-            prediction = self._partition_prediction(backward, mbx, mby, [(rect, mv_bwd)])
+            prediction = self._partition_prediction(mbx, mby, [(backward, rect, mv_bwd)])
             self._meta.mark_inter(bx, by, 4, 4, mv_bwd, 1)
         elif mode == common.B_BI:
-            pred_fwd = self._partition_prediction(forward, mbx, mby, [(rect, mv_fwd)])
-            pred_bwd = self._partition_prediction(backward, mbx, mby, [(rect, mv_bwd)])
+            pred_fwd = self._partition_prediction(mbx, mby, [(forward, rect, mv_fwd)])
+            pred_bwd = self._partition_prediction(mbx, mby, [(backward, rect, mv_bwd)])
             prediction = {
                 name: kernels.average(pred_fwd[name], pred_bwd[name])
                 for name in ("y", "u", "v")
@@ -429,5 +402,4 @@ class H264Decoder(VideoDecoder):
             self._meta.mark_inter(bx, by, 4, 4, mv_fwd, 0)
         else:
             raise BitstreamError(f"invalid B macroblock mode {mode}")
-        self._decode_luma_residual(reader, prediction["y"], mbx, mby)
-        self._decode_chroma_residual(reader, prediction, mbx, mby)
+        self._decode_inter_residual(reader, prediction, mbx, mby)

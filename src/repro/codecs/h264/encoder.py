@@ -23,6 +23,12 @@ from repro.codecs.h264.cavlc import CavlcCoder
 from repro.codecs.h264.config import H264Config
 from repro.codecs.h264.deblock import DeblockFilter, DeblockMeta
 from repro.codecs.h264.motion import PARTITION_SHAPES, MvGrid4
+from repro.codecs.recon import (
+    ZERO_MB,
+    add_and_store,
+    h264_chroma_residual,
+    h264_luma_residual,
+)
 from repro.common.bitstream import BitWriter
 from repro.common.expgolomb import se_bit_length, ue_bit_length, write_se, write_ue
 from repro.common.gop import CodedFrame, FrameType
@@ -286,10 +292,8 @@ class H264Encoder(VideoEncoder):
         nc_dc = self._tc_luma.nc(4 * mbx, 4 * mby)
         self.cavlc.encode_block(writer, scan4(dc_levels), nc_dc)
 
-        dc_rebuilt = kernels.dequant_h264_dc4(dc_levels, qp)
-        for block_index, (off_x, off_y) in enumerate(common.LUMA_OFFSETS):
+        for levels, (off_x, off_y) in zip(ac_levels, common.LUMA_OFFSETS):
             bx, by = (x0 + off_x) // 4, (y0 + off_y) // 4
-            levels = ac_levels[block_index]
             if has_ac:
                 total_coeff = self.cavlc.encode_block(
                     writer, scan4(levels)[1:], self._tc_luma.nc(bx, by)
@@ -297,13 +301,10 @@ class H264Encoder(VideoEncoder):
             else:
                 total_coeff = 0
             self._tc_luma.set(bx, by, total_coeff)
-            coeffs = kernels.dequant_h264_4x4(levels, qp)
-            coeffs[0, 0] = dc_rebuilt[off_y // 4, off_x // 4]
-            pixels = kernels.add_clip(
-                prediction[off_y : off_y + 4, off_x : off_x + 4],
-                kernels.inv_transform4(coeffs),
-            )
-            self._recon.store_block("y", x0 + off_x, y0 + off_y, pixels)
+        residual = h264_luma_residual(
+            kernels, qp, ac_levels, kernels.dequant_h264_dc4(dc_levels, qp)
+        )
+        self._recon.store_block("y", x0, y0, kernels.add_clip(prediction, residual))
         self._meta.mark_intra_mb(mbx, mby)
         self._code_intra_chroma(writer, source, mbx, mby)
         self.stats.intra_macroblocks += 1
@@ -320,9 +321,10 @@ class H264Encoder(VideoEncoder):
             if best_cost is None or cost < best_cost:
                 best_mode, best_cost, best_pred = mode, cost, (pred_u, pred_v)
         write_ue(writer, intra.BLOCK_MODES.index(best_mode))
-        prep = self._prepare_chroma(source, dict(zip(("u", "v"), best_pred)), mbx, mby, intra_mb=True)
+        prediction = dict(zip(("u", "v"), best_pred))
+        prep = self._prepare_chroma(source, prediction, mbx, mby, intra_mb=True)
         self._write_chroma(writer, prep, mbx, mby)
-        self._recon_chroma(prep, dict(zip(("u", "v"), best_pred)), mbx, mby)
+        add_and_store(self.kernels, self._recon, mbx, mby, prediction, self._chroma_residual(prep))
 
     # ------------------------------------------------------------------
     # chroma residual (shared by every macroblock type)
@@ -386,26 +388,14 @@ class H264Encoder(VideoEncoder):
             for off_x, off_y in common.CHROMA_OFFSETS:
                 grid.set((8 * mbx + off_x) // 4, (8 * mby + off_y) // 4, 0)
 
-    def _recon_chroma(self, prep: _ChromaPrep, prediction: Dict[str, np.ndarray],
-                      mbx: int, mby: int) -> None:
+    def _chroma_residual(self, prep: _ChromaPrep) -> Dict[str, np.ndarray]:
+        # Below cbp 2 the AC levels are all zero, and below 1 the DC levels.
         kernels = self.kernels
         qp = self.config.qp
-        x0, y0 = 8 * mbx, 8 * mby
-        for plane in ("u", "v"):
-            if prep.cbp >= 1:
-                dc_rebuilt = kernels.dequant_h264_dc2(prep.dc_levels[plane], qp)
-            else:
-                dc_rebuilt = np.zeros((2, 2), dtype=np.int64)
-            for block_index, (off_x, off_y) in enumerate(common.CHROMA_OFFSETS):
-                pred_block = prediction[plane][off_y : off_y + 4, off_x : off_x + 4]
-                if prep.cbp == 2:
-                    levels = prep.ac_levels[plane][block_index]
-                else:
-                    levels = np.zeros((4, 4), dtype=np.int64)
-                coeffs = kernels.dequant_h264_4x4(levels, qp)
-                coeffs[0, 0] = dc_rebuilt[off_y // 4, off_x // 4]
-                pixels = kernels.add_clip(pred_block, kernels.inv_transform4(coeffs))
-                self._recon.store_block(plane, x0 + off_x, y0 + off_y, pixels)
+        dc = None
+        if prep.cbp >= 1:
+            dc = [kernels.dequant_h264_dc2(prep.dc_levels[plane], qp) for plane in ("u", "v")]
+        return h264_chroma_residual(kernels, qp, prep.ac_levels["u"] + prep.ac_levels["v"], dc)
 
     # ------------------------------------------------------------------
     # inter prediction helpers
@@ -524,21 +514,14 @@ class H264Encoder(VideoEncoder):
             self._tc_luma.set(bx, by, total_coeff)
             self._meta.set_nonzero(bx, by, total_coeff > 0)
 
-    def _recon_luma_inter(self, cbp: int, blocks: List[np.ndarray],
-                          prediction: np.ndarray, mbx: int, mby: int) -> None:
-        kernels = self.kernels
-        qp = self.config.qp
-        x0, y0 = 16 * mbx, 16 * mby
-        for block_index, (off_x, off_y) in enumerate(common.LUMA_OFFSETS):
-            pred_block = prediction[off_y : off_y + 4, off_x : off_x + 4]
-            if cbp & (1 << common.luma_quadrant(block_index)) and np.any(blocks[block_index]):
-                rebuilt = kernels.inv_transform4(
-                    kernels.dequant_h264_4x4(blocks[block_index], qp)
-                )
-                pixels = kernels.add_clip(pred_block, rebuilt)
-            else:
-                pixels = kernels.add_clip(pred_block, np.zeros((4, 4), dtype=np.int64))
-            self._recon.store_block("y", x0 + off_x, y0 + off_y, pixels)
+    def _recon_inter(self, luma_blocks: List[np.ndarray], chroma_prep: _ChromaPrep,
+                     prediction: Dict[str, np.ndarray], mbx: int, mby: int) -> None:
+        residual = self._chroma_residual(chroma_prep)
+        residual["y"] = h264_luma_residual(
+            self.kernels, self.config.qp,
+            [levels if np.any(levels) else None for levels in luma_blocks],
+        )
+        add_and_store(self.kernels, self._recon, mbx, mby, prediction, residual)
 
     # ------------------------------------------------------------------
     # P macroblocks
@@ -606,8 +589,7 @@ class H264Encoder(VideoEncoder):
             mv = assignments[0][1]
             grid.set_rect(4 * mbx, 4 * mby, 4, 4, mv, 0)
             self._meta.mark_inter(4 * mbx, 4 * mby, 4, 4, mv, 0)
-            self._recon_luma_inter(0, luma_blocks, prediction["y"], mbx, mby)
-            self._recon_chroma(chroma_prep, prediction, mbx, mby)
+            add_and_store(self.kernels, self._recon, mbx, mby, prediction, ZERO_MB)
             self._set_chroma_tc_zero(mbx, mby)
             self._set_luma_tc_zero(mbx, mby)
             self.stats.skipped_macroblocks += 1
@@ -626,8 +608,7 @@ class H264Encoder(VideoEncoder):
             self._meta.mark_inter(bx, by, width // 4, height // 4, result.mv, best_ref)
         self._write_luma_residual(writer, cbp_luma, luma_blocks, mbx, mby)
         self._write_chroma(writer, chroma_prep, mbx, mby)
-        self._recon_luma_inter(cbp_luma, luma_blocks, prediction["y"], mbx, mby)
-        self._recon_chroma(chroma_prep, prediction, mbx, mby)
+        self._recon_inter(luma_blocks, chroma_prep, prediction, mbx, mby)
         self.stats.inter_macroblocks += 1
 
     def _set_luma_tc_zero(self, mbx: int, mby: int) -> None:
@@ -699,8 +680,7 @@ class H264Encoder(VideoEncoder):
             write_ue(writer, common.B_SKIP)
             self._grid_l0.set_rect(bx, by, 4, 4, fwd.mv, 0)
             self._meta.mark_inter(bx, by, 4, 4, fwd.mv, 0)
-            self._recon_luma_inter(0, luma_blocks, prediction["y"], mbx, mby)
-            self._recon_chroma(chroma_prep, prediction, mbx, mby)
+            add_and_store(self.kernels, self._recon, mbx, mby, prediction, ZERO_MB)
             self._set_luma_tc_zero(mbx, mby)
             self._set_chroma_tc_zero(mbx, mby)
             self.stats.skipped_macroblocks += 1
@@ -720,8 +700,7 @@ class H264Encoder(VideoEncoder):
         self._meta.mark_inter(bx, by, 4, 4, deblock_mv, 0 if mode != "bwd" else 1)
         self._write_luma_residual(writer, cbp_luma, luma_blocks, mbx, mby)
         self._write_chroma(writer, chroma_prep, mbx, mby)
-        self._recon_luma_inter(cbp_luma, luma_blocks, prediction["y"], mbx, mby)
-        self._recon_chroma(chroma_prep, prediction, mbx, mby)
+        self._recon_inter(luma_blocks, chroma_prep, prediction, mbx, mby)
         self.stats.inter_macroblocks += 1
 
 

@@ -8,6 +8,7 @@ in the paper (the high-performance MPEG-2 decode application).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -17,6 +18,7 @@ from repro.codecs.frames import WorkingFrame
 from repro.codecs.mpeg2 import tables
 from repro.codecs.mpeg2.coefficients import decode_run_level
 from repro.codecs.mpeg2.prediction import average_prediction, predict_mb
+from repro.codecs.recon import ZERO_MB, reconstruct_dct_mb
 from repro.common.bitstream import BitReader
 from repro.common.expgolomb import read_se
 from repro.common.gop import FrameType
@@ -85,21 +87,18 @@ class Mpeg2Decoder(VideoDecoder):
 
     def _decode_intra_mb(self, reader: BitReader, recon: WorkingFrame,
                          mbx: int, mby: int) -> None:
-        kernels = self.kernels
-        for plane, off_x, off_y in tables.BLOCK_LAYOUT:
-            base = 16 if plane == "y" else 8
-            x = mbx * base + off_x
-            y = mby * base + off_y
+        all_levels = []
+        for plane, _, _ in tables.BLOCK_LAYOUT:
             dc = self._dc_pred[plane] + read_se(reader)
             self._dc_pred[plane] = dc
             scanned = decode_run_level(reader, 64, start=1)
             scanned[0] = dc
-            levels = unscan8(scanned)
-            coeffs = kernels.dequant_mpeg(levels, MPEG_INTRA_MATRIX, self._qscale, intra=True)
-            pixels = kernels.add_clip(
-                np.zeros((8, 8), dtype=np.int64), kernels.idct8(coeffs)
-            )
-            recon.store_block(plane, x, y, pixels)
+            all_levels.append(unscan8(scanned))
+        reconstruct_dct_mb(
+            self.kernels, recon, mbx, mby, ZERO_MB, all_levels,
+            partial(self.kernels.dequant_mpeg, matrix=MPEG_INTRA_MATRIX,
+                    qscale=self._qscale, intra=True),
+        )
 
     def _read_residual(self, reader: BitReader) -> List[Optional[np.ndarray]]:
         cbp = tables.CBP_TABLE.read(reader)
@@ -120,23 +119,11 @@ class Mpeg2Decoder(VideoDecoder):
         mbx: int,
         mby: int,
     ) -> None:
-        kernels = self.kernels
-        for block_index, (plane, off_x, off_y) in enumerate(tables.BLOCK_LAYOUT):
-            if plane == "y":
-                x, y = mbx * 16 + off_x, mby * 16 + off_y
-                pred_block = prediction["y"][off_y : off_y + 8, off_x : off_x + 8]
-            else:
-                x, y = mbx * 8, mby * 8
-                pred_block = prediction[plane]
-            levels = all_levels[block_index]
-            if levels is None:
-                pixels = kernels.add_clip(pred_block, np.zeros((8, 8), dtype=np.int64))
-            else:
-                coeffs = kernels.dequant_mpeg(
-                    levels, MPEG_INTER_MATRIX, self._qscale, intra=False
-                )
-                pixels = kernels.add_clip(pred_block, kernels.idct8(coeffs))
-            recon.store_block(plane, x, y, pixels)
+        reconstruct_dct_mb(
+            self.kernels, recon, mbx, mby, prediction, all_levels,
+            partial(self.kernels.dequant_mpeg, matrix=MPEG_INTER_MATRIX,
+                    qscale=self._qscale, intra=False),
+        )
 
     def _predict(self, reference: WorkingFrame, mbx: int, mby: int,
                  mv: MotionVector) -> Dict[str, np.ndarray]:

@@ -9,6 +9,7 @@ intra-DC prediction and run/level VLC entropy coding.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -23,6 +24,7 @@ from repro.codecs.mpeg2 import tables
 from repro.codecs.mpeg2.coefficients import encode_run_level
 from repro.codecs.mpeg2.config import Mpeg2Config
 from repro.codecs.mpeg2.prediction import average_prediction, predict_mb
+from repro.codecs.recon import ZERO_MB, reconstruct_dct_mb
 from repro.common.bitstream import BitWriter
 from repro.common.expgolomb import se_bit_length, write_se
 from repro.common.gop import CodedFrame, FrameType
@@ -159,6 +161,7 @@ class Mpeg2Encoder(VideoEncoder):
     ) -> None:
         kernels = self.kernels
         qscale = self.config.qscale
+        all_levels = []
         for plane, off_x, off_y in tables.BLOCK_LAYOUT:
             base = 16 if plane == "y" else 8
             x = mbx * base + off_x
@@ -170,10 +173,13 @@ class Mpeg2Encoder(VideoEncoder):
             write_se(writer, dc - self._dc_pred[plane])
             self._dc_pred[plane] = dc
             encode_run_level(writer, scan8(levels), start=1)
-            if recon is not None:
-                rebuilt = kernels.dequant_mpeg(levels, MPEG_INTRA_MATRIX, qscale, intra=True)
-                pixels = kernels.add_clip(np.zeros((8, 8), dtype=np.int64), kernels.idct8(rebuilt))
-                recon.store_block(plane, x, y, pixels)
+            all_levels.append(levels)
+        if recon is not None:
+            reconstruct_dct_mb(
+                kernels, recon, mbx, mby, ZERO_MB, all_levels,
+                partial(kernels.dequant_mpeg, matrix=MPEG_INTRA_MATRIX,
+                        qscale=qscale, intra=True),
+            )
         self.stats.intra_macroblocks += 1
 
     # ------------------------------------------------------------------
@@ -291,22 +297,11 @@ class Mpeg2Encoder(VideoEncoder):
         mbx: int,
         mby: int,
     ) -> None:
-        kernels = self.kernels
-        qscale = self.config.qscale
-        for block_index, (plane, off_x, off_y) in enumerate(tables.BLOCK_LAYOUT):
-            if plane == "y":
-                x, y = mbx * 16 + off_x, mby * 16 + off_y
-                pred_block = prediction["y"][off_y : off_y + 8, off_x : off_x + 8]
-            else:
-                x, y = mbx * 8, mby * 8
-                pred_block = prediction[plane]
-            levels = all_levels[block_index]
-            if levels is None:
-                pixels = kernels.add_clip(pred_block, np.zeros((8, 8), dtype=np.int64))
-            else:
-                coeffs = kernels.dequant_mpeg(levels, MPEG_INTER_MATRIX, qscale, intra=False)
-                pixels = kernels.add_clip(pred_block, kernels.idct8(coeffs))
-            recon.store_block(plane, x, y, pixels)
+        reconstruct_dct_mb(
+            self.kernels, recon, mbx, mby, prediction, all_levels,
+            partial(self.kernels.dequant_mpeg, matrix=MPEG_INTER_MATRIX,
+                    qscale=self.config.qscale, intra=False),
+        )
 
     # ------------------------------------------------------------------
     # P macroblocks

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -18,6 +19,7 @@ from repro.codecs.mpeg4.prediction import (
     predict_mb_qpel,
 )
 from repro.codecs.mpeg2.prediction import predict_mb as predict_mb_halfpel
+from repro.codecs.recon import ZERO_MB, reconstruct_dct_mb
 from repro.common.bitstream import BitReader
 from repro.common.expgolomb import read_se
 from repro.common.gop import FrameType
@@ -90,14 +92,10 @@ class Mpeg4Decoder(VideoDecoder):
 
     def _decode_intra_mb(self, reader: BitReader, recon: WorkingFrame,
                          mbx: int, mby: int) -> None:
-        kernels = self.kernels
-        qscale = self._qscale
         use_prediction = bool(reader.read_bit())
         cbp = tables.CBP_TABLE.read(reader)
-        for block_index, (plane, off_x, off_y) in enumerate(tables.BLOCK_LAYOUT):
-            base = 16 if plane == "y" else 8
-            x = mbx * base + off_x
-            y = mby * base + off_y
+        all_levels = []
+        for block_index, (plane, _, _) in enumerate(tables.BLOCK_LAYOUT):
             bx, by = self._block_grid(plane, mbx, mby, block_index)
             direction, pred_dc, pred_ac = predict(self._acdc[plane], bx, by)
             dc = pred_dc + read_se(reader)
@@ -110,11 +108,11 @@ class Mpeg4Decoder(VideoDecoder):
                 levels = apply_ac_prediction(levels, direction, pred_ac, +1)
             levels[0, 0] = dc
             self._acdc[plane].put(bx, by, levels)
-            coeffs = kernels.dequant_h263(levels, qscale, intra=True)
-            pixels = kernels.add_clip(
-                np.zeros((8, 8), dtype=np.int64), kernels.idct8(coeffs)
-            )
-            recon.store_block(plane, x, y, pixels)
+            all_levels.append(levels)
+        reconstruct_dct_mb(
+            self.kernels, recon, mbx, mby, ZERO_MB, all_levels,
+            partial(self.kernels.dequant_h263, qp=self._qscale, intra=True),
+        )
 
     # ------------------------------------------------------------------
 
@@ -137,21 +135,10 @@ class Mpeg4Decoder(VideoDecoder):
         mbx: int,
         mby: int,
     ) -> None:
-        kernels = self.kernels
-        for block_index, (plane, off_x, off_y) in enumerate(tables.BLOCK_LAYOUT):
-            if plane == "y":
-                x, y = mbx * 16 + off_x, mby * 16 + off_y
-                pred_block = prediction["y"][off_y : off_y + 8, off_x : off_x + 8]
-            else:
-                x, y = mbx * 8, mby * 8
-                pred_block = prediction[plane]
-            levels = all_levels[block_index]
-            if levels is None:
-                pixels = kernels.add_clip(pred_block, np.zeros((8, 8), dtype=np.int64))
-            else:
-                coeffs = kernels.dequant_h263(levels, self._qscale, intra=False)
-                pixels = kernels.add_clip(pred_block, kernels.idct8(coeffs))
-            recon.store_block(plane, x, y, pixels)
+        reconstruct_dct_mb(
+            self.kernels, recon, mbx, mby, prediction, all_levels,
+            partial(self.kernels.dequant_h263, qp=self._qscale, intra=False),
+        )
 
     def _predict_inter(self, reference: WorkingFrame, mbx: int, mby: int,
                        mv: MotionVector) -> Dict[str, np.ndarray]:

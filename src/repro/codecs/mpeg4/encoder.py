@@ -10,6 +10,7 @@ between MPEG-2 and H.264 in both compression and compute cost.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -27,6 +28,7 @@ from repro.codecs.mpeg4.prediction import (
     predict_mb_qpel,
 )
 from repro.codecs.mpeg2.prediction import predict_mb as predict_mb_halfpel
+from repro.codecs.recon import ZERO_MB, reconstruct_dct_mb
 from repro.common.bitstream import BitWriter
 from repro.common.expgolomb import se_bit_length, write_se
 from repro.common.gop import CodedFrame, FrameType
@@ -172,30 +174,30 @@ class Mpeg4Encoder(VideoEncoder):
             pred_scan = scan8(adjusted)
             bits_raw += estimate_3d_bits(raw_scan, start=1)
             bits_pred += estimate_3d_bits(pred_scan, start=1)
-            prepared.append((plane, x, y, levels, pred_dc, raw_scan, pred_scan))
+            prepared.append((levels, pred_dc, raw_scan, pred_scan))
 
         use_prediction = bits_pred < bits_raw
         writer.write_bit(1 if use_prediction else 0)
 
         cbp = 0
-        for block_index, (_, _, _, _, _, raw_scan, pred_scan) in enumerate(prepared):
+        for block_index, (_, _, raw_scan, pred_scan) in enumerate(prepared):
             scanned = pred_scan if use_prediction else raw_scan
             if any(scanned[1:]):
                 cbp |= tables.cbp_bit(block_index)
         tables.CBP_TABLE.write(writer, cbp)
 
-        for block_index, (plane, x, y, levels, pred_dc, raw_scan, pred_scan) in enumerate(prepared):
+        for block_index, (levels, pred_dc, raw_scan, pred_scan) in enumerate(prepared):
             dc = int(levels[0, 0])
             write_se(writer, dc - pred_dc)
             if cbp & tables.cbp_bit(block_index):
                 scanned = pred_scan if use_prediction else raw_scan
                 encode_3d(writer, scanned, start=1)
-            if recon is not None:
-                coeffs = kernels.dequant_h263(levels, qscale, intra=True)
-                pixels = kernels.add_clip(
-                    np.zeros((8, 8), dtype=np.int64), kernels.idct8(coeffs)
-                )
-                recon.store_block(plane, x, y, pixels)
+        if recon is not None:
+            reconstruct_dct_mb(
+                kernels, recon, mbx, mby, ZERO_MB,
+                [levels for levels, _, _, _ in prepared],
+                partial(kernels.dequant_h263, qp=qscale, intra=True),
+            )
         self.stats.intra_macroblocks += 1
 
     # ------------------------------------------------------------------
@@ -298,22 +300,10 @@ class Mpeg4Encoder(VideoEncoder):
         mbx: int,
         mby: int,
     ) -> None:
-        kernels = self.kernels
-        qscale = self.config.qscale
-        for block_index, (plane, off_x, off_y) in enumerate(tables.BLOCK_LAYOUT):
-            if plane == "y":
-                x, y = mbx * 16 + off_x, mby * 16 + off_y
-                pred_block = prediction["y"][off_y : off_y + 8, off_x : off_x + 8]
-            else:
-                x, y = mbx * 8, mby * 8
-                pred_block = prediction[plane]
-            levels = all_levels[block_index]
-            if levels is None:
-                pixels = kernels.add_clip(pred_block, np.zeros((8, 8), dtype=np.int64))
-            else:
-                coeffs = kernels.dequant_h263(levels, qscale, intra=False)
-                pixels = kernels.add_clip(pred_block, kernels.idct8(coeffs))
-            recon.store_block(plane, x, y, pixels)
+        reconstruct_dct_mb(
+            self.kernels, recon, mbx, mby, prediction, all_levels,
+            partial(self.kernels.dequant_h263, qp=self.config.qscale, intra=False),
+        )
 
     # ------------------------------------------------------------------
     # P macroblocks

@@ -19,7 +19,7 @@ through it; the macroblock control flow above the kernels stays plain
 Python in both builds, mirroring how SIMD optimisation of real codecs only
 touches leaf kernels (which is why the paper's speed-ups are ~2x, not 10x).
 
-Two parts of the contract go beyond one block per call:
+Three parts of the contract go beyond one block per call:
 
 * **Stacked candidates in** ``sad``.  ``sad(a, b)`` with ``b`` of shape
   ``(h, w)`` returns one ``int``; with ``b`` of shape ``(n, h, w)`` (``n``
@@ -28,12 +28,23 @@ Two parts of the contract go beyond one block per call:
   a whole search pattern with one call (:meth:`repro.me.cost.MotionCost.
   evaluate_many`, :func:`repro.me.subpel.refine_subpel`); the scalar
   backend loops over the candidates, so it stays the bit-exact reference.
+* **Stacked blocks in the inverse path.** ``dequant_mpeg``,
+  ``dequant_h263``, ``dequant_h264_4x4``, ``idct8`` and ``inv_transform4``
+  accept blocks of shape ``(n, h, w)`` and return ``(n, h, w)``; slice
+  ``i`` equals the call on block ``i`` alone, and the intra DC scaling
+  applies to every block's ``[0, 0]`` term.  :mod:`repro.codecs.recon`
+  rebuilds a whole macroblock's residual with one dequant and one
+  inverse-transform call this way, in every encoder and decoder.  The
+  SIMD backend broadcasts; the scalar backend loops block by block, so it
+  stays the bit-exact reference and does the same per-block work as
+  before.  Callers therefore stack only *coded* blocks: stacking zero
+  blocks would add scalar work that the per-block code never did.
 * **Whole planes in** ``mc_qpel_h264``.  The kernel accepts any block
   size, including a whole padded plane.  The H.264 encoder builds its
   three half-pel planes once per reference picture that way and reads
   every quarter-pel prediction from them (:mod:`repro.mc.pad`).
 
-``KERNEL_NAMES`` is frozen: both optimisations above reuse existing
+``KERNEL_NAMES`` is frozen: the optimisations above reuse existing
 kernels instead of adding entry points.  Lint rule HDVB120 requires the
 public methods of both backends to equal this tuple exactly, and the
 benchmark's layer taxonomy assigns every name to a layer and refuses a

@@ -21,6 +21,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -78,6 +79,23 @@ def _div_to_zero(numerator: int, denominator: int) -> int:
     if numerator >= 0:
         return numerator // denominator
     return -((-numerator) // denominator)
+
+
+def _blockwise(kernel):
+    """Let a one-block kernel take ``(n, h, w)`` stacks, one block at a time.
+
+    The stacked result is the ``n`` single-block results stacked along the
+    leading axis, so this backend stays the bit-exact reference for the
+    SIMD backend's broadcasting versions.
+    """
+
+    @functools.wraps(kernel)
+    def stacked(self, blocks, *args, **kwargs):
+        if np.ndim(blocks) == 3:
+            return np.array([kernel(self, block, *args, **kwargs) for block in blocks])
+        return kernel(self, blocks, *args, **kwargs)
+
+    return stacked
 
 
 def _sad_lists(la: Block, lb: Block) -> int:
@@ -209,6 +227,7 @@ class ScalarKernels:
         ]
         return _to_array(out)
 
+    @_blockwise
     def idct8(self, coeffs) -> np.ndarray:
         """Fixed-point orthonormal 8x8 inverse DCT."""
         y = _to_list(coeffs)
@@ -242,6 +261,7 @@ class ScalarKernels:
         ]
         return _to_array(out)
 
+    @_blockwise
     def inv_transform4(self, coeffs) -> np.ndarray:
         """H.264 inverse core transform: ``(CI @ W @ CI^T + 128) >> 8``."""
         w = _to_list(coeffs)
@@ -308,6 +328,7 @@ class ScalarKernels:
                 out[i][j] = _clip3(-2047, 2047, level)
         return _to_array(out)
 
+    @_blockwise
     def dequant_mpeg(self, levels, matrix, qscale: int, intra: bool) -> np.ndarray:
         lv = _to_list(levels)
         w = _to_list(matrix)
@@ -377,6 +398,7 @@ class ScalarKernels:
                 out[i][j] = _clip3(-2047, 2047, level)
         return _to_array(out)
 
+    @_blockwise
     def dequant_h263(self, levels, qp: int, intra: bool) -> np.ndarray:
         lv = _to_list(levels)
         step2 = 4 * qp
@@ -419,6 +441,7 @@ class ScalarKernels:
                 out[i][j] = level if value >= 0 else -level
         return _to_array(out)
 
+    @_blockwise
     def dequant_h264_4x4(self, levels, qp: int) -> np.ndarray:
         lv = _to_list(levels)
         v_row = _V[qp % 6]

@@ -138,7 +138,7 @@ class SimdKernels:
         scale = tables.MPEG_QUANT_SCALE
         if intra:
             out = sign * (mag * w * qscale // scale)
-            out[0, 0] = lv[0, 0] * tables.MPEG_INTRA_DC_SCALER
+            out[..., 0, 0] = lv[..., 0, 0] * tables.MPEG_INTRA_DC_SCALER
         else:
             out = np.where(lv == 0, 0, sign * ((2 * mag + 1) * w * qscale // (2 * scale)))
         return out
@@ -173,7 +173,7 @@ class SimdKernels:
         sign, mag = _sign_mag(lv)
         if intra:
             out = sign * (mag * step2 // 2)
-            out[0, 0] = lv[0, 0] * 8
+            out[..., 0, 0] = lv[..., 0, 0] * 8
         else:
             out = np.where(lv == 0, 0, sign * ((2 * mag + 1) * step2 // 4))
         return out

@@ -6,6 +6,7 @@ entropy coding; all three codecs use these scans.
 
 from __future__ import annotations
 
+import functools
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -37,12 +38,29 @@ def scan(block: np.ndarray, order: Sequence[Tuple[int, int]]) -> List[int]:
     return [rows[i][j] for i, j in order]
 
 
+@functools.lru_cache(maxsize=None)
+def _flat_index(order: Tuple[Tuple[int, int], ...], size: int) -> np.ndarray:
+    """Row-major flat positions of the entries of a scan order."""
+    return np.array([i * size + j for i, j in order], dtype=np.intp)
+
+
+_INDEX_8X8 = _flat_index(ZIGZAG_8X8, 8)
+_INDEX_4X4 = _flat_index(ZIGZAG_4X4, 4)
+
+
+def _place(values: Sequence[int], index: np.ndarray, size: int) -> np.ndarray:
+    count = min(len(values), len(index))
+    block = np.zeros(size * size, dtype=np.int64)
+    block[index[:count]] = values[:count]
+    return block.reshape(size, size)
+
+
 def unscan(values: Sequence[int], order: Sequence[Tuple[int, int]], size: int) -> np.ndarray:
-    """Rebuild a ``size`` x ``size`` block from scan-ordered ``values``."""
-    block = np.zeros((size, size), dtype=np.int64)
-    for value, (i, j) in zip(values, order):
-        block[i, j] = value
-    return block
+    """Rebuild a ``size`` x ``size`` block from scan-ordered ``values``.
+
+    Values beyond the length of ``order`` are ignored.
+    """
+    return _place(values, _flat_index(tuple(order), size), size)
 
 
 def scan8(block: np.ndarray) -> List[int]:
@@ -50,7 +68,7 @@ def scan8(block: np.ndarray) -> List[int]:
 
 
 def unscan8(values: Sequence[int]) -> np.ndarray:
-    return unscan(values, ZIGZAG_8X8, 8)
+    return _place(values, _INDEX_8X8, 8)
 
 
 def scan4(block: np.ndarray) -> List[int]:
@@ -58,4 +76,4 @@ def scan4(block: np.ndarray) -> List[int]:
 
 
 def unscan4(values: Sequence[int]) -> np.ndarray:
-    return unscan(values, ZIGZAG_4X4, 4)
+    return _place(values, _INDEX_4X4, 4)

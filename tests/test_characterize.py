@@ -105,3 +105,79 @@ class TestCharacterization:
         text = render_profile(encode_profile, top=3)
         # 3 kernels + total + header rows.
         assert len(text.splitlines()) == 3 + 1 + 3
+
+
+class TestStackedReconstruction:
+    """Decoders rebuild residuals one macroblock at a time.
+
+    Each plane of a macroblock gets one ``add_clip``; only an Intra4x4
+    macroblock adds its sixteen luma blocks one by one, because each block
+    predicts from its reconstructed neighbours (16 luma + u + v = 3 + 15).
+    Stacking changes the number of calls, not the work: every kernel
+    touches the samples the per-block decoders touched.
+    """
+
+    #: Per-kernel samples of the golden-stream decodes
+    #: (``tests/test_golden_streams.py``), recorded with the per-block
+    #: decoders.  They change only when the golden streams do.
+    PER_BLOCK_SAMPLES = {
+        "mpeg2": {"add_clip": 6144, "idct8": 4416, "dequant_mpeg": 4416,
+                  "mc_halfpel": 4608},
+        "mpeg4": {"add_clip": 6144, "idct8": 3136, "dequant_h263": 3136,
+                  "mc_halfpel": 1536, "mc_qpel_bilinear": 3072},
+        "h264": {"add_clip": 6144, "inv_transform4": 2592, "dequant_h264_4x4": 2592,
+                 "dequant_h264_dc2": 128, "mc_qpel_h264": 3072,
+                 "mc_chroma_bilinear8": 1536, "deblock_normal": 1472,
+                 "deblock_strong": 128},
+    }
+
+    @staticmethod
+    def decode(codec, stream, backend, monkeypatch):
+        """Decode through counting kernels; returns (profile, I4x4 MB count)."""
+        from repro.codecs.h264.decoder import H264Decoder
+
+        intra4 = []
+        decode_i4 = H264Decoder._decode_i4_mb
+
+        def counted(self, reader, mbx, mby):
+            intra4.append((mbx, mby))
+            return decode_i4(self, reader, mbx, mby)
+
+        monkeypatch.setattr(H264Decoder, "_decode_i4_mb", counted)
+        profile, frames = characterize_decode(codec, stream, backend)
+        macroblocks = len(frames) * (stream.width // 16) * (stream.height // 16)
+        return profile, macroblocks, len(intra4)
+
+    @pytest.mark.parametrize("backend", ["simd", "scalar"])
+    @pytest.mark.parametrize("codec", ["mpeg2", "mpeg4", "h264"])
+    def test_golden_decode_calls_and_samples(self, codec, backend, monkeypatch):
+        from repro.codecs import container
+        from tests.test_golden_streams import encode
+
+        stream = container.unpack(encode(codec))
+        profile, macroblocks, intra4 = self.decode(codec, stream, backend, monkeypatch)
+        add_clip = profile.kernels["add_clip"].calls
+        assert add_clip == 3 * macroblocks + 15 * intra4
+        samples = {name: stats.samples for name, stats in profile.kernels.items()
+                   if stats.calls}
+        assert samples == self.PER_BLOCK_SAMPLES[codec]
+
+    @pytest.mark.parametrize("qp", [26, 40])
+    def test_h264_intra_modes_and_partitions(self, qp, monkeypatch):
+        # QP 26 codes its I picture in Intra4x4, QP 40 in Intra16x16.
+        from tests.conftest import make_moving_sequence
+
+        video = make_moving_sequence(width=48, height=32, frames=5, dx=2, dy=1, seed=7)
+        encoder = get_encoder("h264", width=48, height=32, search_range=4, qp=qp,
+                              ref_frames=2,
+                              partitions=("16x16", "16x8", "8x16", "8x8"))
+        stream = encoder.encode_sequence(video)
+        profile, macroblocks, intra4 = self.decode("h264", stream, "simd", monkeypatch)
+        kernels = profile.kernels
+        assert (intra4 > 0) == (qp == 26)
+        assert kernels["add_clip"].calls == 3 * macroblocks + 15 * intra4
+        assert kernels["add_clip"].samples == 384 * macroblocks
+        assert kernels["inv_transform4"].samples == kernels["dequant_h264_4x4"].samples
+        # One stacked call per plane group, far fewer than one per block.
+        assert kernels["inv_transform4"].calls <= 2 * macroblocks
+        assert kernels["inv_transform4"].samples > 16 * kernels["inv_transform4"].calls

@@ -138,3 +138,55 @@ class TestValidation:
         stream.codec = "mpeg4"
         with pytest.raises(CodecError):
             H264Decoder().decode(stream)
+
+
+class TestPartitionReferences:
+    """Each inter partition predicts from the reference its ref_index names."""
+
+    @staticmethod
+    def mixed_reference_stream():
+        from repro.codecs.base import EncodedPicture
+        from repro.codecs.h264 import common
+        from repro.common.bitstream import BitWriter
+        from repro.common.expgolomb import write_se, write_ue
+        from repro.common.yuv import YuvSequence
+
+        # Two unrelated pictures, so the two references differ everywhere.
+        video = YuvSequence([
+            make_moving_sequence(width=16, height=16, frames=1, seed=seed)[0]
+            for seed in (11, 12)
+        ])
+        _, stream = encode(video, qp=20, ref_frames=2, deblock=False)
+        assert [p.frame_type for p in stream.pictures] == [FrameType.I, FrameType.P]
+
+        # A hand-written P picture: one 16x8 macroblock whose top partition
+        # uses ref_index 0 (display 1) and its bottom one ref_index 1
+        # (display 0), both with a zero motion vector and no residual.
+        writer = BitWriter()
+        writer.write_bits(1, 2)  # P
+        writer.write_bits(20, 6)  # qp
+        writer.write_bits(4, 8)  # search range
+        writer.write_bit(0)  # deblocking off
+        writer.write_bits(2, 4)  # ref_frames
+        writer.write_bits(2, 4)  # active L0 size
+        write_ue(writer, common.P_16X8)
+        for ref_index in (0, 1):
+            write_ue(writer, ref_index)
+            write_se(writer, 0)
+            write_se(writer, 0)
+        writer.write_bits(0, 4)  # luma cbp
+        write_ue(writer, 0)  # chroma cbp
+        writer.align()
+        stream.pictures.append(EncodedPicture(writer.to_bytes(), 2, FrameType.P))
+        return stream
+
+    @pytest.mark.parametrize("backend", ["simd", "scalar"])
+    def test_16x8_partitions_with_different_references(self, backend):
+        frames = H264Decoder(backend).decode(self.mixed_reference_stream())
+        previous, oldest, mixed = frames[1], frames[0], frames[2]
+        assert (previous.y[:8] != oldest.y[:8]).any()
+        assert (mixed.y[:8] == previous.y[:8]).all()
+        assert (mixed.y[8:] == oldest.y[8:]).all()
+        for plane in ("u", "v"):
+            assert (getattr(mixed, plane)[:4] == getattr(previous, plane)[:4]).all()
+            assert (getattr(mixed, plane)[4:] == getattr(oldest, plane)[4:]).all()

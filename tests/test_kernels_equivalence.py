@@ -79,6 +79,87 @@ class TestStackedSad:
         assert SCALAR.sad(a, b[None]) == SIMD.sad(a, b[None]) == [SCALAR.sad(a, b)]
 
 
+def stacks(size: int, low: int, high: int):
+    """1 to 16 ``(size, size)`` blocks stacked along a leading axis."""
+    return st.lists(blocks(size, low, high), min_size=1, max_size=16).map(np.stack)
+
+
+def _mpeg_matrix(intra: bool):
+    from repro.kernels.tables import MPEG_INTER_MATRIX, MPEG_INTRA_MATRIX
+
+    return MPEG_INTRA_MATRIX if intra else MPEG_INTER_MATRIX
+
+
+class TestStackedInverse:
+    """The inverse-path kernels take ``(n, h, w)`` stacks of blocks.
+
+    Slice ``i`` of the stacked result equals the call on block ``i``
+    alone, in both backends, and the two backends agree.
+    """
+
+    @staticmethod
+    def check(call, stack):
+        looped = np.stack([call(SCALAR, block) for block in stack])
+        assert_same(np.stack([call(SIMD, block) for block in stack]), looped)
+        for backend in (SCALAR, SIMD):
+            stacked = call(backend, stack)
+            assert stacked.shape == stack.shape
+            assert_same(stacked, looped)
+
+    @given(stacks(8, -600, 600), st.integers(1, 31), st.booleans())
+    @settings(max_examples=40)
+    def test_dequant_mpeg(self, stack, qscale, intra):
+        matrix = _mpeg_matrix(intra)
+        self.check(lambda k, b: k.dequant_mpeg(b, matrix, qscale, intra), stack)
+
+    @given(stacks(8, -600, 600), st.integers(1, 31), st.booleans())
+    @settings(max_examples=40)
+    def test_dequant_h263(self, stack, qp, intra):
+        self.check(lambda k, b: k.dequant_h263(b, qp, intra), stack)
+
+    @given(stacks(4, -2047, 2047), st.integers(0, 51))
+    @settings(max_examples=40)
+    def test_dequant_h264_4x4(self, stack, qp):
+        self.check(lambda k, b: k.dequant_h264_4x4(b, qp), stack)
+
+    @given(stacks(8, -2048, 2048))
+    @settings(max_examples=40)
+    def test_idct8(self, stack):
+        self.check(lambda k, b: k.idct8(b), stack)
+
+    @given(stacks(4, -30000, 30000))
+    @settings(max_examples=40)
+    def test_inv_transform4(self, stack):
+        self.check(lambda k, b: k.inv_transform4(b), stack)
+
+    @given(st.lists(st.one_of(st.none(), blocks(4, -2047, 2047)), min_size=1, max_size=16),
+           st.integers(0, 51), st.booleans(), st.data())
+    @settings(max_examples=40)
+    def test_h264_reconstruction_with_dc_terms(self, levels, qp, with_dc, data):
+        # The shared routine's stacked call equals the per-block code path:
+        # dequantise, replace the DC term (Intra16x16 / chroma), transform.
+        from repro.codecs.recon import h264_blocks
+
+        # With DC terms every block is coded, a ``None`` one as zero levels.
+        dc = None
+        if with_dc:
+            dc = np.array(data.draw(st.lists(st.integers(-30000, 30000),
+                                             min_size=len(levels), max_size=len(levels))))
+        expected = []
+        for index, block in enumerate(levels):
+            if block is None and dc is None:
+                expected.append(np.zeros((4, 4), np.int64))
+                continue
+            if block is None:
+                block = np.zeros((4, 4), np.int64)
+            coeffs = SCALAR.dequant_h264_4x4(block, qp)
+            if dc is not None:
+                coeffs[0, 0] = dc[index]
+            expected.append(SCALAR.inv_transform4(coeffs))
+        for backend in (SCALAR, SIMD):
+            assert_same(h264_blocks(backend, qp, levels, dc), np.stack(expected))
+
+
 class TestBlockArithmetic:
     @given(blocks(4), blocks(4))
     def test_sub(self, a, b):
