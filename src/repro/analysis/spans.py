@@ -4,8 +4,8 @@
 recorded by ``__exit__``.  A span that is called and discarded, or
 assigned to a variable that never reaches a ``with`` statement, *never
 records anything* — and worse, if someone calls ``__enter__`` by hand
-and an exception skips the exit, the thread's span stack corrupts and
-every subsequent span nests under the leaked parent.  The telemetry
+and an exception skips the exit, the leaked span stays the context's
+open span and every subsequent span nests under it.  The telemetry
 overhead gate (<2 %) also assumes the no-op fast path of the ``with``
 protocol.  HDVB150 enforces the only safe shape::
 
@@ -64,8 +64,8 @@ class SpanContextRule(Rule):
     name = "span-context"
     rationale = (
         "a span records itself in __exit__; opening one outside a with "
-        "block either records nothing (discarded handle) or corrupts the "
-        "thread's span stack (manual __enter__ without a guaranteed exit)"
+        "block either records nothing (discarded handle) or leaves it the "
+        "context's open span (manual __enter__ without a guaranteed exit)"
     )
     hint = "wrap the call: `with span(...):` (a named handle must be entered too)"
 

@@ -17,7 +17,7 @@ from repro.codecs import CODEC_NAMES
 from repro.common.resolution import PAPER_TIERS, Resolution, scaled_tier
 from repro.errors import ConfigError
 from repro.sequences import SEQUENCE_NAMES
-from repro.transform.qp import h264_qp_from_mpeg
+from repro.transform.qp import h264_qp_from_mpeg, quantiser_fields
 
 
 @dataclass(frozen=True)
@@ -59,21 +59,13 @@ class BenchConfig:
     def encoder_fields(self, codec: str, resolution: Resolution,
                        backend: str = "simd") -> Dict:
         """Constructor arguments for ``get_encoder`` under this config."""
-        fields: Dict = dict(
+        return dict(
             width=resolution.width,
             height=resolution.height,
             search_range=self.search_range,
             backend=backend,
+            **quantiser_fields(codec, self.qscale),
         )
-        if codec == "h264":
-            fields["qp"] = self.h264_qp
-        elif codec == "mjpeg":
-            # The intra-only extension codec has no quantiser scale; map
-            # the campaign qscale onto its quality axis.
-            fields["quality"] = max(5, min(98, 100 - 3 * self.qscale))
-        else:
-            fields["qscale"] = self.qscale
-        return fields
 
 
 def quick_config() -> BenchConfig:

@@ -106,19 +106,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_store_argument(slo)
 
     timeline = sub.add_parser(
-        "timeline", help="reconstruct one correlation id's ordered event "
-                         "timeline from the event log, flight dumps and "
-                         "trace spans")
+        "timeline", help="reconstruct one correlation id's ordered "
+                         "timeline from the telemetry stream and flight "
+                         "dumps")
     timeline.add_argument("correlation_id", metavar="CORRELATION-ID",
                           help="session/cell/run id to reconstruct")
     timeline.add_argument("--events", default="", metavar="FILE",
-                          help="canonical event-log JSONL "
+                          help="canonical telemetry-stream JSONL "
                                "(from hdvb-bench serve --events)")
     timeline.add_argument("--flightrec", default="", metavar="DIR",
                           help="flight-dump directory "
                                "(default: STORE/flightrec)")
-    timeline.add_argument("--trace", default="", metavar="FILE",
-                          help="repro.telemetry.trace/1 JSON export")
     timeline.add_argument("--format", choices=("human", "json"),
                           default="human",
                           help="report format (default: human)")
@@ -333,16 +331,8 @@ def _cmd_timeline(options: argparse.Namespace) -> int:
     flight_dir = options.flightrec or os.path.join(options.store,
                                                    "flightrec")
     dumps = load_flight_dumps(flight_dir)
-    trace = None
-    if options.trace:
-        try:
-            with open(options.trace, "r", encoding="utf-8") as handle:
-                trace = json.load(handle)
-        except (OSError, ValueError) as error:
-            raise ObserveError(
-                f"cannot read trace {options.trace}: {error}") from error
     timeline = build_timeline(options.correlation_id, events=events,
-                              dumps=dumps, trace=trace)
+                              dumps=dumps)
     if options.format == "json":
         print(json.dumps(timeline, indent=2, sort_keys=True))
     else:

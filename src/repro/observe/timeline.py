@@ -2,39 +2,38 @@
 
 ``hdvb-observe timeline <correlation-id>`` answers the question a
 post-mortem always starts with: *what happened to this session/cell, in
-order*?  It merges up to three sources into one ordered view:
+order*?  It filters one record stream down to that id:
 
-* the structured **event log** (a canonical JSONL file written by
+* the **telemetry stream** (a canonical JSONL file written by
   ``hdvb-bench serve --events``, or any ``repro.telemetry.event/1``
-  stream);
+  stream), whose records are events and, when tracing was on, closed
+  spans carrying the correlation scope they opened in;
 * **flight-record dumps** (``repro.telemetry.flightdump/1`` files from
   ``.hdvb-bench-history/flightrec/``), whose ring events fill holes the
   bounded main log may have dropped and whose trigger/error context
-  annotate the death itself;
-* optional **trace spans** (a ``repro.telemetry.trace/1`` JSON export),
-  matched by a correlation attribute.
+  annotate the death itself.
 
-Events are matched when any of their correlation-id values equals the
+Records are matched when any of their correlation-id values equals the
 requested id, de-duplicated by ``seq`` across sources, and ordered by
 ``seq`` (the emission order, which under the virtual-time origin loop
-is deterministic per seed).  The rendered output contains no wall-clock
-times, pids or file paths, so two identical seeded runs reconstruct
-**identical** timelines — that property is asserted in CI.
+is deterministic per seed); span records (those with a ``parent`` key)
+are listed apart from events.  The rendered output contains no
+wall-clock times, pids or file paths, so two identical seeded runs
+reconstruct **identical** timelines — that property is asserted in CI.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence
 
 from repro.errors import ObserveError
+from repro.telemetry.events import EVENT_SCHEMA
+from repro.telemetry.flightrec import FLIGHTDUMP_SCHEMA
 
 #: Schema of the JSON timeline document this module renders.
 TIMELINE_SCHEMA = "repro.observe.timeline/1"
-
-EVENT_SCHEMA = "repro.telemetry.event/1"
-FLIGHTDUMP_SCHEMA = "repro.telemetry.flightdump/1"
 
 
 def load_events_jsonl(path: str) -> List[Dict[str, Any]]:
@@ -96,19 +95,17 @@ def build_timeline(
     correlation_id: str,
     events: Sequence[Dict[str, Any]] = (),
     dumps: Sequence[Dict[str, Any]] = (),
-    trace: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """Merge the sources into one ``repro.observe.timeline/1`` document.
+    """Filter the stream into one ``repro.observe.timeline/1`` document.
 
-    Events from the main log and from matching dumps are unioned and
+    Records of ``events`` and of matching dumps are unioned and
     de-duplicated by ``seq``; dump triggers become entries of their own
     so the death itself appears on the timeline.
     """
     merged: Dict[int, Dict[str, Any]] = {}
-    for event in events:
-        correlation = event.get("correlation") or {}
-        if _matches(correlation, correlation_id):
-            merged[int(event["seq"])] = event
+    for record in events:
+        if _matches(record.get("correlation") or {}, correlation_id):
+            merged[int(record["seq"])] = record
     triggers: List[Dict[str, Any]] = []
     open_spans: List[Dict[str, Any]] = []
     for dump in dumps:
@@ -117,10 +114,9 @@ def build_timeline(
         if (str(dump_id) != correlation_id
                 and not _matches(dump_scope, correlation_id)):
             continue
-        for event in dump.get("events", ()):
-            correlation = event.get("correlation") or {}
-            if _matches(correlation, correlation_id):
-                merged.setdefault(int(event["seq"]), event)
+        for record in dump.get("events", ()):
+            if _matches(record.get("correlation") or {}, correlation_id):
+                merged.setdefault(int(record["seq"]), record)
         triggers.append({
             "trigger": dump.get("trigger"),
             "error": dump.get("error"),
@@ -129,24 +125,14 @@ def build_timeline(
         for span in dump.get("open_spans", ()):
             open_spans.append({"name": span.get("name"),
                                "attrs": span.get("attrs") or {}})
-    spans: List[Dict[str, Any]] = []
-    if trace is not None:
-        for span in trace.get("spans", ()):
-            attrs = span.get("attrs") or {}
-            if _matches(attrs, correlation_id):
-                spans.append({
-                    "name": span.get("name"),
-                    "duration": span.get("duration"),
-                    "attrs": {key: attrs[key] for key in sorted(attrs)},
-                })
     ordered = [merged[seq] for seq in sorted(merged)]
     return {
         "schema": TIMELINE_SCHEMA,
         "correlation_id": correlation_id,
-        "events": ordered,
+        "events": [record for record in ordered if "parent" not in record],
         "triggers": triggers,
         "open_spans": open_spans,
-        "spans": spans,
+        "spans": [record for record in ordered if "parent" in record],
     }
 
 
@@ -186,7 +172,7 @@ def render_timeline(timeline: Dict[str, Any]) -> str:
             duration = span.get("duration")
             took = (f" ({duration * 1e3:.2f} ms)"
                     if isinstance(duration, (int, float)) else "")
-            lines.append(f"    - {span['name']}{took}")
+            lines.append(f"    - #{span['seq']} {span['name']}{took}")
     return "\n".join(lines) + "\n"
 
 

@@ -28,7 +28,7 @@ from repro.parallel import split_chunks
 from repro.transform.qp import (
     MPEG_QSCALE_MAX,
     MPEG_QSCALE_MIN,
-    h264_qp_from_mpeg,
+    quantiser_fields,
 )
 
 
@@ -48,18 +48,6 @@ class RateControlStep:
         if self.bits_budget <= 0:
             return 1.0
         return self.bits_spent / self.bits_budget
-
-
-def _quantiser_fields(codec: str, qscale: int) -> dict:
-    """Map the controller's MPEG-scale quantiser onto a codec config."""
-    if codec == "h264":
-        return {"qp": h264_qp_from_mpeg(qscale)}
-    if codec == "mjpeg":
-        # Coarser quantiser scale -> lower JPEG quality; a simple inverse
-        # mapping spanning the useful range.
-        quality = max(5, min(98, 100 - 3 * qscale))
-        return {"quality": quality}
-    return {"qscale": qscale}
 
 
 def _next_qscale(qscale: int, fullness: float) -> int:
@@ -105,7 +93,7 @@ def cbr_encode(
     qscale = initial_qscale
     for start, stop in segments:
         fields = dict(config_fields)
-        fields.update(_quantiser_fields(codec, qscale))
+        fields.update(quantiser_fields(codec, qscale))
         encoder = get_encoder(codec, **fields)
         segment = encoder.encode_sequence(
             YuvSequence(video.frames[start:stop], fps=video.fps)

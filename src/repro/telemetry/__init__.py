@@ -1,9 +1,17 @@
 """``repro.telemetry`` — tracing, metrics and profiling for the codec stack.
 
-A zero-dependency observability subsystem, **off by default**:
+A zero-dependency observability subsystem, **off by default**, built on
+one telemetry stream: events and closed trace spans are records in the
+same bounded buffer, share one ``seq`` id space and one context variable
+for correlation scope and span parentage.
 
-* :mod:`repro.telemetry.trace` — nestable, thread/process-safe spans
-  with JSON and Chrome ``chrome://tracing`` export;
+* :mod:`repro.telemetry.events` — the stream buffer, correlation scopes
+  and the schema-versioned event log (``repro.telemetry.event/1``);
+* :mod:`repro.telemetry.trace` — nestable, thread-, task- and
+  process-safe spans recorded into that stream, with JSON and Chrome
+  ``chrome://tracing`` export of the span records;
+* :mod:`repro.telemetry.flightrec` — post-mortem dumps of the stream's
+  per-correlation event rings;
 * :mod:`repro.telemetry.metrics` — counters, gauges and fixed-bucket
   histograms in a process-global registry with snapshot/merge for
   multiprocess aggregation;
@@ -12,6 +20,10 @@ A zero-dependency observability subsystem, **off by default**:
 * :mod:`repro.telemetry.instrument` — the decorators/wrappers the codec
   seams use (encode/decode loops, kernel dispatch, motion search,
   parallel chunks).
+
+Spans and events keep separate switches: :func:`enable` records spans
+and arms the instrumented seams, :func:`repro.telemetry.events.enable`
+records events.
 
 Quickstart::
 
@@ -50,7 +62,6 @@ from repro.telemetry.profile import (
 from repro.telemetry.trace import (
     NOOP_SPAN,
     Span,
-    SpanRecord,
     Trace,
     current_trace,
     disable,
@@ -69,7 +80,6 @@ __all__ = [
     "MetricsSnapshot",
     "NOOP_SPAN",
     "Span",
-    "SpanRecord",
     "StageRow",
     "Trace",
     "coverage",
@@ -88,6 +98,6 @@ __all__ = [
 
 
 def reset() -> None:
-    """Clear buffered spans *and* the process-global metrics registry."""
+    """Clear the stream buffer *and* the process-global metrics registry."""
     _reset_trace()
     reset_registry()

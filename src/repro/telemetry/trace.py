@@ -1,9 +1,10 @@
-"""Nestable, thread- and process-safe tracing spans.
+"""Nestable, thread-, task- and process-safe tracing spans.
 
 The paper's headline output is *attribution* — Figure 1 only exists
 because time could be charged to codec stages.  This module provides the
 raw material for that attribution: lightweight spans recording wall time,
-nesting and user attributes into a per-session :class:`Trace` buffer.
+nesting and user attributes into the one telemetry stream of
+:mod:`repro.telemetry.events`.
 
 Telemetry is **off by default**.  When disabled, :func:`span` returns a
 shared no-op context manager without allocating anything, so the
@@ -20,12 +21,22 @@ instrumented seams cost one flag check::
 A span that exits through an exception still closes and records the
 exception class under the ``error`` attribute (the exception propagates).
 
-Each thread keeps its own span stack (parent links never cross threads);
-each process keeps its own :class:`Trace` buffer.  Worker processes ship
-their data back explicitly (see :meth:`Trace.snapshot` and
+A span takes its id from the stream's ``seq`` counter when it opens and,
+when it closes, appends one record (name, attrs, id, parent id, start,
+end and the correlation scope active at open) to the same buffer
+:func:`repro.telemetry.events.emit` uses.  The innermost open span lives
+in the stream's context variable, next to the correlation scope, so
+parent links follow the context: never across threads, and never across
+``asyncio`` tasks interleaving on one thread (a task inherits the span
+open when it was created).  Each process keeps its own buffer; worker
+processes ship their data back explicitly (see
 :meth:`repro.telemetry.metrics.MetricsRegistry.merge`).
 
-Export formats:
+Tracing and the event log keep separate switches (:func:`enable` here,
+:func:`repro.telemetry.events.enable` there), so a run can record spans
+without events or events without spans.
+
+Export formats (:class:`Trace`, the span view of the buffer):
 
 * :meth:`Trace.to_dict` / :meth:`Trace.to_json` — the library's own
   schema (``{"schema": "repro.telemetry.trace/1", "spans": [...]}``);
@@ -41,16 +52,19 @@ import threading
 import time
 from typing import Any, Dict, List, Optional
 
+from repro.telemetry import events as _events
+from repro.telemetry.events import Event, EventLog, jsonable, reset
+
 __all__ = [
     "NOOP_SPAN",
     "Span",
-    "SpanRecord",
     "Trace",
     "TelemetryState",
     "current_trace",
     "disable",
     "enable",
     "enabled",
+    "open_spans",
     "reset",
     "span",
     "state",
@@ -59,94 +73,25 @@ __all__ = [
 #: Schema identifier stamped into the library's own JSON export.
 TRACE_SCHEMA = "repro.telemetry.trace/1"
 
-#: Default cap on buffered span records; beyond it spans are counted but
-#: dropped (the cap keeps long enabled runs from growing without bound).
-DEFAULT_MAX_SPANS = 250_000
-
-
-class SpanRecord:
-    """One completed span, as stored in the trace buffer."""
-
-    __slots__ = ("span_id", "parent_id", "name", "start", "end", "pid",
-                 "tid", "attrs")
-
-    def __init__(self, span_id: int, parent_id: Optional[int], name: str,
-                 start: float, end: float, pid: int, tid: int,
-                 attrs: Dict[str, Any]) -> None:
-        self.span_id = span_id
-        self.parent_id = parent_id
-        self.name = name
-        self.start = start
-        self.end = end
-        self.pid = pid
-        self.tid = tid
-        self.attrs = attrs
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "id": self.span_id,
-            "parent": self.parent_id,
-            "name": self.name,
-            "start": self.start,
-            "end": self.end,
-            "duration": self.duration,
-            "pid": self.pid,
-            "tid": self.tid,
-            "attrs": self.attrs,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"SpanRecord({self.name!r}, {self.duration * 1e3:.3f} ms, "
-                f"attrs={self.attrs})")
-
 
 class Trace:
-    """A per-session buffer of completed :class:`SpanRecord` objects."""
+    """The span records of one stream buffer, with the trace exports."""
 
-    def __init__(self, max_spans: int = DEFAULT_MAX_SPANS) -> None:
-        self._lock = threading.Lock()
-        self._records: List[SpanRecord] = []
-        self._next_id = 1
-        self.max_spans = max_spans
-        self.dropped = 0
-        #: wall-clock (``time.time``) and monotonic (``perf_counter``)
-        #: origins, used to place spans on an absolute timeline.
-        self.epoch = time.time()
-        self.origin = time.perf_counter()
+    def __init__(self, log: EventLog) -> None:
+        self.log = log
 
-    def allocate_id(self) -> int:
-        with self._lock:
-            span_id = self._next_id
-            self._next_id += 1
-            return span_id
+    @property
+    def dropped(self) -> int:
+        """Records (spans or events) the buffer cap dropped."""
+        return self.log.dropped
 
-    def record(self, record: SpanRecord) -> None:
-        with self._lock:
-            if len(self._records) >= self.max_spans:
-                self.dropped += 1
-                return
-            self._records.append(record)
-
-    def spans(self, name: Optional[str] = None) -> List[SpanRecord]:
-        """Completed spans (optionally only those called ``name``)."""
-        with self._lock:
-            records = list(self._records)
-        if name is None:
-            return records
-        return [record for record in records if record.name == name]
+    def spans(self, name: Optional[str] = None) -> List[Event]:
+        """Closed spans in closing order (optionally only ``name``)."""
+        return [record for record in self.log.records(name)
+                if record.start is not None]
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._records.clear()
-            self.dropped = 0
+        return len(self.spans())
 
     # ------------------------------------------------------------------
     # export
@@ -156,9 +101,19 @@ class Trace:
         """The library's own JSON-serialisable schema."""
         return {
             "schema": TRACE_SCHEMA,
-            "epoch": self.epoch,
+            "epoch": self.log.epoch,
             "dropped": self.dropped,
-            "spans": [record.to_dict() for record in self.spans()],
+            "spans": [{
+                "id": record.seq,
+                "parent": record.parent_id,
+                "name": record.name,
+                "start": record.start,
+                "end": record.end,
+                "duration": record.duration,
+                "pid": record.pid,
+                "tid": record.tid,
+                "attrs": record.fields,
+            } for record in self.spans()],
         }
 
     def to_json(self, indent: Optional[int] = None) -> str:
@@ -186,18 +141,18 @@ class Trace:
                 "name": record.name,
                 "cat": record.name.split(".", 1)[0],
                 "ph": "X",
-                "ts": (record.start - self.origin) * 1e6,
+                "ts": (record.start - self.log.origin) * 1e6,
                 "dur": record.duration * 1e6,
                 "pid": record.pid,
                 "tid": record.tid,
-                "args": {key: _jsonable(value)
-                         for key, value in record.attrs.items()},
+                "args": {key: jsonable(value)
+                         for key, value in record.fields.items()},
             })
         return {
             "traceEvents": events,
             "displayTimeUnit": "ms",
             "otherData": dict(metadata or {}, schema=TRACE_SCHEMA,
-                              epoch=self.epoch, dropped=self.dropped),
+                              epoch=self.log.epoch, dropped=self.dropped),
         }
 
     def to_chrome_json(self, indent: Optional[int] = None,
@@ -205,30 +160,11 @@ class Trace:
         return json.dumps(self.to_chrome(metadata), indent=indent, default=str)
 
 
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return str(value)
-
-
 class TelemetryState:
-    """Process-global telemetry switch plus the active trace buffer."""
+    """Process-global tracing switch."""
 
     def __init__(self) -> None:
         self.enabled = False
-        self.trace = Trace()
-        self._local = threading.local()
-        #: Optional open-span observer (the flight recorder); ``None``
-        #: unless the event log armed it, so plain tracing pays one
-        #: attribute check per span, and disabled tracing pays nothing.
-        self.span_hook: Optional[Any] = None
-
-    def stack(self) -> List[int]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
 
 
 #: The process-global state.  Hot seams read ``state.enabled`` directly.
@@ -256,53 +192,45 @@ NOOP_SPAN = _NoopSpan()
 class Span:
     """A live span; use via ``with span(...)``."""
 
-    __slots__ = ("name", "attrs", "_state", "_span_id", "_parent_id", "_start")
+    __slots__ = ("name", "attrs", "span_id", "_outer", "_start")
 
-    def __init__(self, name: str, attrs: Dict[str, Any],
-                 telemetry_state: TelemetryState) -> None:
+    def __init__(self, name: str, attrs: Dict[str, Any]) -> None:
         self.name = name
         self.attrs = attrs
-        self._state = telemetry_state
 
     def set(self, **attrs: Any) -> None:
         """Attach or update user attributes on the live span."""
         self.attrs.update(attrs)
 
     def __enter__(self) -> "Span":
-        trace = self._state.trace
-        stack = self._state.stack()
-        self._span_id = trace.allocate_id()
-        self._parent_id = stack[-1] if stack else None
-        stack.append(self._span_id)
-        hook = self._state.span_hook
-        if hook is not None:
-            hook.span_opened(self._span_id, self.name, self.attrs)
+        self.span_id = _events.state.log.allocate_seq()
+        # (correlation scope, enclosing span) as this span opened.
+        self._outer = outer = _events._scope_var.get()
+        _events._scope_var.set((outer[0], self))
         self._start = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         end = time.perf_counter()
-        stack = self._state.stack()
-        # Pop our own id even if an inner span leaked (defensive).
-        while stack and stack.pop() != self._span_id:
-            pass
+        scope, parent = outer = self._outer
+        # Restore the outer value rather than reset a token, which
+        # raises if the span exits in another context (a generator
+        # resumed elsewhere).
+        _events._scope_var.set(outer)
         if exc_type is not None:
             self.attrs.setdefault("error", exc_type.__name__)
-        self._state.trace.record(
-            SpanRecord(
-                span_id=self._span_id,
-                parent_id=self._parent_id,
-                name=self.name,
-                start=self._start,
-                end=end,
-                pid=os.getpid(),
-                tid=threading.get_ident(),
-                attrs=self.attrs,
-            )
-        )
-        hook = self._state.span_hook
-        if hook is not None:
-            hook.span_closed(self._span_id)
+        _events.state.log.record(Event(
+            seq=self.span_id,
+            name=self.name,
+            wall=None,
+            pid=os.getpid(),
+            tid=threading.get_ident(),
+            correlation=dict(scope),
+            fields=self.attrs,
+            parent_id=None if parent is None else parent.span_id,
+            start=self._start,
+            end=end,
+        ))
         return False
 
 
@@ -310,13 +238,32 @@ def span(name: str, **attrs: Any):
     """Open a span named ``name``; no-op when telemetry is disabled."""
     if not state.enabled:
         return NOOP_SPAN
-    return Span(name, attrs, state)
+    return Span(name, attrs)
 
 
-def enable(max_spans: Optional[int] = None) -> None:
-    """Turn telemetry on (spans, metrics and instrumented seams)."""
-    if max_spans is not None:
-        state.trace.max_spans = max_spans
+def open_spans() -> List[Dict[str, Any]]:
+    """The spans open in the current context, outermost first."""
+    chain: List[Dict[str, Any]] = []
+    current = _events._scope_var.get()[1]
+    while current is not None:
+        scope, outer = current._outer
+        chain.append({
+            "id": current.span_id,
+            "name": current.name,
+            "attrs": {key: jsonable(value)
+                      for key, value in sorted(current.attrs.items())},
+            "correlation": dict(scope),
+        })
+        current = outer
+    chain.reverse()
+    return chain
+
+
+def enable(max_records: Optional[int] = None) -> None:
+    """Turn tracing on (spans, metrics and instrumented seams);
+    ``max_records`` sets the one stream cap."""
+    if max_records is not None:
+        _events.state.log.max_records = max_records
     state.enabled = True
 
 
@@ -330,10 +277,5 @@ def enabled() -> bool:
 
 
 def current_trace() -> Trace:
-    """The process-global trace buffer."""
-    return state.trace
-
-
-def reset() -> None:
-    """Discard buffered spans and restart the trace timeline."""
-    state.trace = Trace(max_spans=state.trace.max_spans)
+    """The span view of the process-global stream buffer."""
+    return Trace(_events.state.log)

@@ -13,6 +13,7 @@ MPEG codecs and ``--qp 26`` for x264 (12 + 6*log2(5) = 25.93 -> 26).
 from __future__ import annotations
 
 import math
+from typing import Dict
 
 from repro.errors import ConfigError
 
@@ -28,6 +29,19 @@ def h264_qp_from_mpeg(mpeg_qscale: float) -> int:
         raise ConfigError(f"MPEG quantiser scale must be >= 1, got {mpeg_qscale}")
     qp = int(round(12.0 + 6.0 * math.log2(mpeg_qscale)))
     return max(H264_QP_MIN, min(H264_QP_MAX, qp))
+
+
+def quantiser_fields(codec: str, mpeg_qscale: int) -> Dict[str, int]:
+    """The encoder knob that puts ``codec`` at MPEG quantiser scale
+    ``mpeg_qscale``: H.264 takes the Equation 1 QP, the intra-only MJPEG
+    extension (no quantiser scale) a JPEG quality on the inverse scale
+    ``100 - 3 * qscale`` clamped to [5, 98], and every other codec the
+    scale itself."""
+    if codec == "h264":
+        return {"qp": h264_qp_from_mpeg(mpeg_qscale)}
+    if codec == "mjpeg":
+        return {"quality": max(5, min(98, 100 - 3 * mpeg_qscale))}
+    return {"qscale": mpeg_qscale}
 
 
 def mpeg_qscale_from_h264(h264_qp: int) -> float:

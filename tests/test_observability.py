@@ -134,13 +134,15 @@ class TestEventLog:
         assert one_run() == one_run()
 
     def test_bounded_log_counts_drops(self):
-        events.enable(max_events=2)
-        for index in range(4):
-            emit("session.state", state=index)
-        log = events.current_log()
-        assert len(log) == 2
-        assert log.dropped == 2
-        log.max_events = events.DEFAULT_MAX_EVENTS
+        events.enable(max_records=2)
+        try:
+            for index in range(4):
+                emit("session.state", state=index)
+            log = events.current_log()
+            assert len(log) == 2
+            assert log.dropped == 2
+        finally:
+            events.enable(max_records=events.DEFAULT_MAX_RECORDS)
 
 
 class TestReproErrorCorrelation:
@@ -175,13 +177,12 @@ class TestReproErrorCorrelation:
 
 class TestFlightRecorder:
     def test_ring_is_bounded_per_scope(self):
-        recorder = FlightRecorder(ring_events=4)
+        recorder = flightrec.recorder
+        recorder.configure(ring_events=4)
         events.enable()
-        events._ring_sink = recorder.record
         with correlation_scope(session_id="s1"):
             for index in range(10):
                 emit("session.state", state=index)
-        events._ring_sink = None
         ring = recorder.ring("s1")
         assert len(ring) == 4
         assert [event.fields["state"] for event in ring] == [6, 7, 8, 9]
@@ -338,6 +339,25 @@ class TestTimeline:
         assert timeline["triggers"][0]["trigger"] == "session.aborted"
         assert timeline["triggers"][0]["error"]["error"] == "SessionAborted"
         assert dump_path.endswith(".json")
+
+    def test_span_in_session_scope_appears_on_timeline(self, tmp_path):
+        events.enable()
+        trace.enable()
+        with correlation_scope(session_id="s1"):
+            with trace.span("origin.cache.encode", key="k0"):
+                emit("cache.encode", key="k0")
+        with trace.span("unscoped"):
+            pass
+        log_path = tmp_path / "events.jsonl"
+        log_path.write_text(events.current_log().to_jsonl(canonical=True))
+        timeline = build_timeline("s1", load_events_jsonl(str(log_path)))
+        assert [event["name"] for event in timeline["events"]] == [
+            "cache.encode"]
+        (span,) = timeline["spans"]
+        assert span["name"] == "origin.cache.encode"
+        assert span["fields"] == {"key": "k0"}
+        assert span["seq"] < timeline["events"][0]["seq"]
+        assert "origin.cache.encode" in render_timeline(timeline)
 
     def test_reconstruction_is_deterministic(self, tmp_path):
         log_path = tmp_path / "events.jsonl"

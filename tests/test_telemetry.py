@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import asyncio
 import importlib.util
 import json
+import os
+import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -11,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import repro.telemetry as telemetry
+from repro.telemetry import events
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.trace import NOOP_SPAN
 
@@ -30,9 +34,11 @@ def load_check_trace():
 def clean_telemetry():
     """Every test starts disabled with empty buffers and leaves no residue."""
     telemetry.disable()
+    events.disable()
     telemetry.reset()
     yield
     telemetry.disable()
+    events.disable()
     telemetry.reset()
 
 
@@ -121,7 +127,7 @@ class TestSpans:
             assert child.tid == root.tid
 
     def test_buffer_cap_drops_and_counts(self):
-        telemetry.enable(max_spans=3)
+        telemetry.enable(max_records=3)
         try:
             for _ in range(5):
                 with telemetry.span("s"):
@@ -130,7 +136,87 @@ class TestSpans:
             assert len(trace) == 3
             assert trace.dropped == 2
         finally:
-            telemetry.state.trace.max_spans = 250_000
+            telemetry.enable(max_records=events.DEFAULT_MAX_RECORDS)
+
+    @pytest.mark.parametrize("a_ticks,b_ticks", [(3, 1), (1, 3)],
+                             ids=["b-resumes-first", "a-resumes-first"])
+    def test_asyncio_tasks_keep_their_own_parents(self, a_ticks, b_ticks):
+        """Tasks interleaving on one thread never adopt each other's spans."""
+        telemetry.enable()
+
+        async def session(tag, ticks):
+            with telemetry.span(f"{tag}.outer"):
+                for _ in range(ticks):
+                    await asyncio.sleep(0)
+                with telemetry.span(f"{tag}.inner"):
+                    pass
+
+        async def serve():
+            await asyncio.gather(session("a", a_ticks),
+                                 session("b", b_ticks))
+
+        asyncio.run(serve())
+        by_name = {r.name: r for r in telemetry.current_trace().spans()}
+        assert len(by_name) == 4
+        for tag in "ab":
+            assert by_name[f"{tag}.outer"].parent_id is None
+            assert (by_name[f"{tag}.inner"].parent_id
+                    == by_name[f"{tag}.outer"].span_id)
+
+
+class TestOneStream:
+    """Spans and events are records of one buffer with one id space."""
+
+    def test_span_ids_and_event_seqs_form_one_sequence(self):
+        telemetry.enable()
+        events.enable()
+        with telemetry.span("outer") as outer:
+            first = events.emit("session.state", state="a")
+            with telemetry.span("inner") as inner:
+                second = events.emit("session.state", state="b")
+        third = events.emit("session.state", state="c")
+        assert [outer.span_id, first.seq, inner.span_id, second.seq,
+                third.seq] == [1, 2, 3, 4, 5]
+        seqs = [record.seq for record in events.current_log().records()]
+        assert sorted(seqs) == list(range(1, 6))
+        assert len(telemetry.current_trace()) == 2
+
+    def test_concurrent_spans_and_events_lose_no_ids(self):
+        """Threads racing on the one counter and buffer: every id once."""
+        telemetry.enable()
+        events.enable()
+        workers, rounds = 2 * (os.cpu_count() or 1) + 2, 200
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def worker():
+                for _ in range(rounds):
+                    with telemetry.span("work"):
+                        events.emit("session.state", state="x")
+
+            threads = [threading.Thread(target=worker)
+                       for _ in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        records = events.current_log().records()
+        assert sorted(r.seq for r in records) == list(
+            range(1, 2 * workers * rounds + 1))
+        assert all(r.parent_id is None
+                   for r in telemetry.current_trace().spans())
+
+    def test_span_record_carries_the_scope_it_opened_in(self):
+        telemetry.enable()
+        with events.correlation_scope(session_id="s1"):
+            with telemetry.span("work"):
+                pass
+        (record,) = telemetry.current_trace().spans()
+        assert record.correlation == {"session_id": "s1"}
+        assert record.canonical_dict()["parent"] is None
 
 
 # ---------------------------------------------------------------------------
