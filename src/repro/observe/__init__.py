@@ -10,10 +10,12 @@ mechanical answer:
   every harness's native result rows;
 * :mod:`repro.observe.store` — the append-only JSONL
   :class:`HistoryStore` under ``.hdvb-bench-history/`` with atomic
-  appends, tolerant reads, axis-indexed queries and compaction;
-* :mod:`repro.observe.regress` — the regression detector: newest record
-  per axis vs a rolling median baseline with MAD-based robust noise
-  bands, reported through the shared ``repro.analysis`` Finding and
+  appends, tolerant reads, axis-indexed queries, run comparison, metric
+  trends and compaction;
+* :mod:`repro.observe.slo` — declarative objectives, one evaluator: the
+  regression gate (newest record per axis vs a rolling median baseline
+  with MAD-based robust noise bands) and absolute SLOs with error-budget
+  burn rates, reported through the shared ``repro.analysis`` Finding and
   reporter machinery;
 * :mod:`repro.observe.export` — OpenMetrics/Prometheus text exposition
   of the latest records and merged telemetry;
@@ -22,8 +24,8 @@ mechanical answer:
   ``repro.chaos.fsck/1`` findings, crash-proven by the
   :mod:`repro.chaos` harness;
 * :mod:`repro.observe.cli` — the ``hdvb-observe`` front end
-  (``record`` / ``compare`` / ``trend`` / ``gate`` / ``export`` /
-  ``compact`` / ``fsck``).
+  (``record`` / ``compare`` / ``trend`` / ``gate`` / ``slo`` /
+  ``export`` / ``compact`` / ``fsck``).
 
 Feeding the store: every measuring ``hdvb-bench`` subcommand takes
 ``--record`` (append this run) / ``--run-id`` / ``--store``, and
@@ -44,36 +46,40 @@ from repro.observe.record import (
     records_document,
     records_from_document,
 )
-from repro.observe.regress import (
-    DEFAULT_POLICIES,
-    GateConfig,
-    MetricPolicy,
-    compare_runs,
-    detect_regressions,
+from repro.observe.slo import (
+    DEFAULT_GATES,
+    DEFAULT_SLOS,
+    SloObjective,
+    evaluate_slos,
     mad,
     median,
+)
+from repro.observe.store import (
+    DEFAULT_STORE_DIR,
+    HistoryStore,
+    MalformedLine,
+    compare_runs,
     metric_trend,
 )
-from repro.observe.store import DEFAULT_STORE_DIR, HistoryStore, MalformedLine
 from repro.observe.export import export_store, render_openmetrics
 from repro.observe.fsck import FSCK_SCHEMA, QUARANTINE_SCHEMA, fsck_store
 
 __all__ = [
     "BenchRecord",
     "FSCK_SCHEMA",
-    "DEFAULT_POLICIES",
+    "DEFAULT_GATES",
+    "DEFAULT_SLOS",
     "DEFAULT_STORE_DIR",
     "DOCUMENT_SCHEMA",
-    "GateConfig",
     "HistoryStore",
     "MalformedLine",
-    "MetricPolicy",
     "QUARANTINE_SCHEMA",
     "RECORD_SCHEMA",
     "RunInfo",
+    "SloObjective",
     "compare_runs",
     "current_git_sha",
-    "detect_regressions",
+    "evaluate_slos",
     "export_store",
     "fsck_store",
     "mad",

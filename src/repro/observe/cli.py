@@ -28,13 +28,13 @@ from repro.analysis.reporters import render_human, render_json
 from repro.bench.report import render_table
 from repro.errors import ObserveError, ReproError
 from repro.observe.record import BenchRecord, records_from_document
-from repro.observe.regress import (
-    GateConfig,
-    compare_runs,
-    detect_regressions,
-    metric_trend,
+from repro.observe.slo import (
+    DEFAULT_BASELINE, DEFAULT_GATES, DEFAULT_MAD_SIGMAS, DEFAULT_SLOS,
+    evaluate_slos, load_slo_spec, render_slo_table, slo_document,
 )
-from repro.observe.store import DEFAULT_STORE_DIR, HistoryStore
+from repro.observe.store import (
+    DEFAULT_STORE_DIR, HistoryStore, compare_runs, metric_trend,
+)
 
 
 def _add_store_argument(parser: argparse.ArgumentParser) -> None:
@@ -79,10 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
     gate.add_argument("--bench", default=None, help="restrict to one bench")
     gate.add_argument("--format", choices=("human", "json"), default="human",
                       help="report format (default: human)")
-    gate.add_argument("--window", type=int, default=GateConfig().window,
+    gate.add_argument("--window", type=int, default=DEFAULT_BASELINE,
                       help="baseline records per axis (default: %(default)s)")
-    gate.add_argument("--mad-sigmas", type=float,
-                      default=GateConfig().mad_sigmas,
+    gate.add_argument("--mad-sigmas", type=float, default=DEFAULT_MAD_SIGMAS,
                       help="noise band width in robust sigmas "
                            "(default: %(default)s)")
     gate.add_argument("--fps-drop", type=float, default=None,
@@ -267,25 +266,19 @@ def _cmd_trend(options: argparse.Namespace) -> int:
 def _cmd_gate(options: argparse.Namespace) -> int:
     store = HistoryStore(options.store)
     _require_history(store)
-    config = GateConfig(
-        window=options.window, mad_sigmas=options.mad_sigmas,
-    ).with_thresholds(
-        fps_drop=options.fps_drop,
-        psnr_drop_db=options.psnr_drop,
-        bitrate_growth=options.bitrate_growth,
-    )
-    findings = detect_regressions(store, bench=options.bench, config=config)
-    if findings:
-        # A failed gate is a post-mortem moment: snapshot whatever the
-        # flight recorder holds (no-op while the event log is off).
-        from repro.telemetry import flightrec
-
-        flightrec.recorder.dump(
-            "gate.fail",
-            extra={"findings": len(findings),
-                   "rules": sorted({f.rule_id for f in findings})})
-    groups = store.history_per_axis(options.bench)
-    stats = {"files_scanned": len(groups)}
+    if options.window < 1:
+        raise ObserveError(f"--window must be >= 1, got {options.window}")
+    overrides = (("fps", options.fps_drop), ("psnr_db", options.psnr_drop),
+                 ("bitrate_kbps", options.bitrate_growth))
+    tolerances = {metric: value for metric, value in overrides
+                  if value is not None}
+    gates = [
+        replace(gate, baseline=options.window, mad_sigmas=options.mad_sigmas,
+                objective=tolerances.get(gate.metric, gate.objective))
+        for gate in DEFAULT_GATES
+    ]
+    _, findings = evaluate_slos(store, gates, bench=options.bench)
+    stats = {"files_scanned": len(store.history_per_axis(options.bench))}
     if options.format == "json":
         print(render_json(findings, **stats))
     else:
@@ -297,11 +290,6 @@ def _cmd_gate(options: argparse.Namespace) -> int:
 
 
 def _cmd_slo(options: argparse.Namespace) -> int:
-    from repro.observe.slo import (
-        DEFAULT_SLOS, evaluate_slos, load_slo_spec, render_slo_table,
-        slo_document,
-    )
-
     store = HistoryStore(options.store)
     _require_history(store)
     objectives = (load_slo_spec(options.spec) if options.spec

@@ -1,12 +1,22 @@
-"""Declarative SLOs with error budgets and multi-window burn rates.
+"""Declarative objectives over the benchmark history, one evaluator.
 
-Where :mod:`repro.observe.regress` asks *did this run move against its
-own history*, this module asks the service-level question: *is the
-system meeting its stated objectives over time*?  An objective is a
-bound on one observe-store metric over a trailing window of records —
-the reproduction's stand-ins for SRE service-level objectives, e.g. the
-paper's real-time line (decode fps >= 25 at 720p) or the origin's
-deadline discipline (miss rate <= 2%).
+An objective is a bound on one observe-store metric, checked per
+(bench, axis) group over a trailing window of records.  The bound is
+either
+
+* **absolute** (``baseline`` 0) — the service-level question *is the
+  system meeting its stated objective over time*: the paper's real-time
+  line (decode fps >= 25 at 720p) or the origin's deadline discipline
+  (miss rate <= 2%); or
+* **baseline-relative** (``baseline`` N > 0) — the regression question
+  *did the newest run move against its own history*: the bound sits at
+  the median of the N records before the group's newest record, widened
+  by the larger of ``objective`` (a fraction of that median when
+  ``relative``) and the noise band ``mad_sigmas * 1.4826 * MAD``.  The
+  band is the robust analogue of k-sigma: a jittery axis is not flagged
+  for its ordinary jitter while a quiet axis still trips on small, real
+  shifts.  The newest record is the one judged, so an axis whose newest
+  record lacks the metric has nothing to judge.
 
 Specs are schema-versioned documents (``repro.observe.slo/1``)::
 
@@ -25,8 +35,12 @@ budget exactly; a *fast* window burning at ``burn_threshold`` while the
 the breach is both severe and sustained, the standard defence against
 paging on a single bad record.  Exhausting the slow-window budget
 outright is OBS302; the newest record simply violating the bound is
-OBS300 (informational severity ordering: 300 < 301 < 302 numerically,
-reported together).
+reported under the objective's ``rule_id`` (OBS300 by default).
+
+The regression gate (``hdvb-observe gate``) is :data:`DEFAULT_GATES`:
+baseline-relative objectives over every bench with a one-record window
+whose budget is the whole window.  Such a window never burns, so only
+the newest-record finding fires, under the OBS201–207 rule ids.
 
 Findings reuse :class:`repro.analysis.findings.Finding`, so the lint
 reporters and the 0/1/2 exit-code convention apply unchanged, and the
@@ -37,7 +51,7 @@ findings, bit for bit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.findings import Finding, sort_findings
@@ -60,16 +74,50 @@ DEFAULT_BUDGET = 0.25
 #: Fast-window burn rate that, combined with slow burn >= 1, alerts.
 DEFAULT_BURN_THRESHOLD = 2.0
 
+#: Records before the newest one that the regression gate's median uses.
+DEFAULT_BASELINE = 5
+
+#: Noise band width of a baseline-relative bound, in robust sigmas.
+DEFAULT_MAD_SIGMAS = 3.0
+
+#: Consistent-estimator factor: MAD * 1.4826 estimates one sigma for
+#: normally distributed noise.
+MAD_SIGMA_FACTOR = 1.4826
+
+#: JSON-to-field coercions of :meth:`SloObjective.from_dict`, keyed by
+#: the field's annotation (``axes`` is the one mapping).
+_COERCE = {"str": str, "int": int, "float": float, "bool": bool}
+
+
+def median(values: Sequence[float]) -> float:
+    if not values:
+        raise ObserveError("median of an empty sequence")
+    ordered = sorted(values)
+    middle = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[middle]
+    return 0.5 * (ordered[middle - 1] + ordered[middle])
+
+
+def mad(values: Sequence[float]) -> float:
+    """Median absolute deviation from the median."""
+    centre = median(values)
+    return median([abs(value - centre) for value in values])
+
 
 @dataclass(frozen=True)
 class SloObjective:
-    """One service-level objective over an observe-store metric.
+    """One objective over an observe-store metric.
 
     ``direction`` is the side the bound sits on: ``"max"`` means the
-    metric must stay at or below ``objective`` (a miss-rate ceiling),
-    ``"min"`` means at or above (an fps floor).  ``axes`` filters the
+    metric must stay at or below it (a miss-rate ceiling, a bitrate that
+    must not grow), ``"min"`` means at or above (an fps floor).
+    ``bench`` ``"*"`` applies to every bench.  ``axes`` filters the
     records the objective applies to (subset match on the record's
-    axes); empty applies to every axis group of ``bench``.
+    axes); empty applies to every axis group.  A ``baseline`` above 0
+    makes ``objective`` a tolerance around the median of that many
+    earlier records (see the module docstring); ``rule_id`` and ``unit``
+    label the newest-record finding.
     """
 
     name: str
@@ -82,6 +130,11 @@ class SloObjective:
     budget: float = DEFAULT_BUDGET
     burn_threshold: float = DEFAULT_BURN_THRESHOLD
     axes: Mapping[str, Any] = field(default_factory=dict)
+    baseline: int = 0
+    relative: bool = False
+    mad_sigmas: float = DEFAULT_MAD_SIGMAS
+    rule_id: str = "OBS300"
+    unit: str = ""
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -109,61 +162,40 @@ class SloObjective:
             raise ObserveError(
                 f"SLO {self.name!r} burn_threshold must be >= 1, "
                 f"got {self.burn_threshold}")
+        if self.baseline < 0 or self.mad_sigmas < 0:
+            raise ObserveError(
+                f"SLO {self.name!r} baseline and mad_sigmas must be >= 0, "
+                f"got baseline={self.baseline} mad_sigmas={self.mad_sigmas}")
 
-    def violates(self, value: float) -> bool:
+    def excess(self, value: float, reference: float) -> float:
+        """How far ``value`` sits past ``reference`` on the bad side."""
         if self.direction == "max":
-            return value > self.objective
-        return value < self.objective
-
-    @property
-    def bound_text(self) -> str:
-        sign = "<=" if self.direction == "max" else ">="
-        return f"{self.metric} {sign} {self.objective:g}"
+            return value - reference
+        return reference - value
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "bench": self.bench,
-            "metric": self.metric,
-            "objective": self.objective,
-            "direction": self.direction,
-            "window": self.window,
-            "fast_window": self.fast_window,
-            "budget": self.budget,
-            "burn_threshold": self.burn_threshold,
-            "axes": dict(self.axes),
-        }
+        data = {spec.name: getattr(self, spec.name) for spec in fields(self)}
+        data["axes"] = dict(self.axes)
+        return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SloObjective":
         if not isinstance(data, Mapping):
             raise ObserveError(
                 f"SLO objective must be an object, got {type(data).__name__}")
-        unknown = set(data) - {
-            "name", "bench", "metric", "objective", "direction", "window",
-            "fast_window", "budget", "burn_threshold", "axes"}
+        known = {spec.name: spec for spec in fields(cls)}
+        unknown = set(data) - set(known)
         if unknown:
             raise ObserveError(
                 f"SLO objective has unknown keys: {sorted(unknown)}")
+        for name, spec in known.items():
+            if (name not in data and spec.default is MISSING
+                    and spec.default_factory is MISSING):
+                raise ObserveError(
+                    f"SLO objective missing required key {name!r}")
         try:
-            return cls(
-                name=str(data["name"]),
-                bench=str(data["bench"]),
-                metric=str(data["metric"]),
-                objective=float(data["objective"]),
-                direction=str(data.get("direction", "max")),
-                window=int(data.get("window", DEFAULT_WINDOW)),
-                fast_window=int(data.get("fast_window",
-                                         DEFAULT_FAST_WINDOW)),
-                budget=float(data.get("budget", DEFAULT_BUDGET)),
-                burn_threshold=float(data.get("burn_threshold",
-                                              DEFAULT_BURN_THRESHOLD)),
-                axes=dict(data.get("axes", {})),
-            )
-        except KeyError as error:
-            raise ObserveError(
-                f"SLO objective missing required key {error.args[0]!r}"
-            ) from None
+            return cls(**{name: _COERCE.get(known[name].type, dict)(value)
+                          for name, value in data.items()})
         except (TypeError, ValueError) as error:
             raise ObserveError(f"malformed SLO objective: {error}") from None
 
@@ -179,6 +211,51 @@ DEFAULT_SLOS: Tuple[SloObjective, ...] = (
     SloObjective(name="decode-realtime-720p", bench="performance",
                  metric="fps", objective=25.0, direction="min",
                  axes={"operation": "decode", "resolution": "720p25"}),
+)
+
+
+def _gate(metric: str, rule_id: str, direction: str, tolerance: float,
+          relative: bool = False, unit: str = "") -> SloObjective:
+    return SloObjective(
+        name=f"gate-{metric}", bench="*", metric=metric,
+        objective=tolerance, direction=direction, window=1, fast_window=1,
+        budget=1.0, baseline=DEFAULT_BASELINE, relative=relative,
+        rule_id=rule_id, unit=unit)
+
+
+#: The regression gate: the paper-level tolerances (throughput drop
+#: > 10 %, PSNR drop > 0.1 dB, bitrate growth > 2 %), plus the
+#: resilience-rate and concealment-quality analogues so the robustness
+#: and streaming benches gate through the same machinery.
+DEFAULT_GATES: Tuple[SloObjective, ...] = (
+    _gate("fps", "OBS201", "min", 0.10, relative=True, unit="fps"),
+    _gate("psnr_db", "OBS202", "min", 0.1, unit="dB"),
+    _gate("bitrate_kbps", "OBS203", "max", 0.02, relative=True,
+          unit="kbit/s"),
+    _gate("graceful_rate", "OBS204", "min", 0.02),
+    _gate("conceal_rate", "OBS204", "min", 0.02),
+    _gate("complete_rate", "OBS204", "min", 0.02),
+    _gate("fec_recovery_rate", "OBS204", "min", 0.02),
+    _gate("mean_psnr_delta_db", "OBS205", "min", 0.1, unit="dB"),
+    # OBS206: the streaming-origin serve gate.  Rates are absolute
+    # fractions; throughput and tail latency are relative to the rolling
+    # median.  ``unhandled_escapes`` has zero tolerance — one task
+    # escaping raw is a regression by definition.
+    _gate("deadline_miss_rate", "OBS206", "max", 0.02),
+    _gate("p99_miss_seconds", "OBS206", "max", 0.25, relative=True,
+          unit="s"),
+    _gate("shed_rate", "OBS206", "max", 0.02),
+    _gate("sessions_per_second", "OBS206", "min", 0.10, relative=True),
+    _gate("unhandled_escapes", "OBS206", "max", 0.0),
+    # OBS207: the orchestrator run gate.  ``cell_failure_rate`` has zero
+    # tolerance — a matrix with newly failing cells is a regression even
+    # when the rest speeds up.  ``cache_hit_rate`` guards the artifact
+    # cache's economy (a rerun of an unchanged spec should hit ~always);
+    # ``cells_per_second`` guards orchestration throughput relative to
+    # the rolling median.
+    _gate("cell_failure_rate", "OBS207", "max", 0.0),
+    _gate("cache_hit_rate", "OBS207", "min", 0.05),
+    _gate("cells_per_second", "OBS207", "min", 0.10, relative=True),
 )
 
 
@@ -214,14 +291,18 @@ class SloStatus:
     """The evaluated state of one objective on one axis group."""
 
     objective: SloObjective
+    bench: str
     axis_key: str
     records: int                  #: records considered (<= window)
     violations: int               #: violating records in the slow window
     fast_violations: int          #: violating records in the fast window
     slow_burn: float              #: violating fraction / budget, slow
     fast_burn: float              #: violating fraction / budget, fast
-    latest_value: Optional[float]
+    latest_value: float
     latest_run: str
+    reference: float              #: the bound, or the baseline median
+    tolerance: float              #: excess allowed past ``reference``
+    baseline_runs: int            #: records behind the median (0: absolute)
 
     @property
     def budget_remaining(self) -> float:
@@ -232,10 +313,17 @@ class SloStatus:
     def breached(self) -> bool:
         return self.slow_burn > 1.0
 
+    @property
+    def bound_text(self) -> str:
+        metric = self.objective.metric
+        if self.objective.direction == "max":
+            return f"{metric} <= {self.reference + self.tolerance:g}"
+        return f"{metric} >= {self.reference - self.tolerance:g}"
+
     def to_dict(self) -> Dict[str, Any]:
         return {
             "objective": self.objective.name,
-            "bound": self.objective.bound_text,
+            "bound": self.bound_text,
             "axis": self.axis_key,
             "records": self.records,
             "violations": self.violations,
@@ -253,37 +341,46 @@ def _axes_match(objective: SloObjective, record: BenchRecord) -> bool:
                for key, value in objective.axes.items())
 
 
-def _burn(records: Sequence[BenchRecord], objective: SloObjective,
-          ) -> Tuple[int, float]:
-    values = [record.metrics[objective.metric] for record in records]
-    violations = sum(1 for value in values if objective.violates(value))
-    if not values:
-        return 0, 0.0
-    return violations, (violations / len(values)) / objective.budget
-
-
 def evaluate_slo(history: Sequence[BenchRecord], objective: SloObjective,
-                 axis_key: str) -> Optional[SloStatus]:
+                 bench: str, axis_key: str) -> Optional[SloStatus]:
     """Evaluate one objective over one axis group's trailing records."""
-    considered = [record for record in history
-                  if objective.metric in record.metrics]
+    metric = objective.metric
+    considered = [record for record in history if metric in record.metrics]
     if not considered:
         return None
-    slow = considered[-objective.window:]
-    fast = considered[-objective.fast_window:]
-    violations, slow_burn = _burn(slow, objective)
-    fast_violations, fast_burn = _burn(fast, objective)
+    reference, tolerance, prior = objective.objective, 0.0, []
+    if objective.baseline:
+        # The baseline is the slice before the group's newest record,
+        # filtered by metric after slicing; a newest record without the
+        # metric leaves nothing to judge.
+        prior = [record.metrics[metric]
+                 for record in history[-1 - objective.baseline:-1]
+                 if metric in record.metrics]
+        if metric not in history[-1].metrics or not prior:
+            return None
+        reference = median(prior)
+        limit = (objective.objective * abs(reference) if objective.relative
+                 else objective.objective)
+        tolerance = max(limit,
+                        objective.mad_sigmas * MAD_SIGMA_FACTOR * mad(prior))
+    slow = [objective.excess(record.metrics[metric], reference) > tolerance
+            for record in considered[-objective.window:]]
+    fast = slow[-objective.fast_window:]
     newest = considered[-1]
     return SloStatus(
         objective=objective,
+        bench=bench,
         axis_key=axis_key,
         records=len(slow),
-        violations=violations,
-        fast_violations=fast_violations,
-        slow_burn=slow_burn,
-        fast_burn=fast_burn,
-        latest_value=newest.metrics.get(objective.metric),
+        violations=sum(slow),
+        fast_violations=sum(fast),
+        slow_burn=(sum(slow) / len(slow)) / objective.budget,
+        fast_burn=(sum(fast) / len(fast)) / objective.budget,
+        latest_value=newest.metrics[metric],
         latest_run=newest.run_id,
+        reference=reference,
+        tolerance=tolerance,
+        baseline_runs=len(prior),
     )
 
 
@@ -297,18 +394,16 @@ def evaluate_slos(store: HistoryStore,
     (an empty store is a clean store — there is no budget to burn).
     """
     location = str(store.path)
-    grouped = store.history_per_axis()
+    grouped = sorted(store.history_per_axis(bench).items())
     statuses: List[SloStatus] = []
     findings: List[Finding] = []
     for objective in objectives:
-        if bench is not None and objective.bench != bench:
-            continue
-        for (group_bench, axis_key), history in sorted(grouped.items()):
-            if group_bench != objective.bench:
+        for (group_bench, axis_key), history in grouped:
+            if objective.bench not in ("*", group_bench):
                 continue
             matching = [record for record in history
                         if _axes_match(objective, record)]
-            status = evaluate_slo(matching, objective, axis_key)
+            status = evaluate_slo(matching, objective, group_bench, axis_key)
             if status is None:
                 continue
             statuses.append(status)
@@ -316,23 +411,44 @@ def evaluate_slos(store: HistoryStore,
     return statuses, sort_findings(findings)
 
 
+def _regression_message(status: SloStatus) -> str:
+    """The newest-record message of a baseline-relative objective."""
+    objective = status.objective
+    value, centre = status.latest_value, status.reference
+    move = objective.excess(value, centre)
+    verb = "grew" if objective.direction == "max" else "dropped"
+    unit = f" {objective.unit}" if objective.unit else ""
+    if objective.relative and centre:
+        amount = f"{abs(move) / abs(centre) * 100.0:.1f}%"
+    else:
+        amount = f"{abs(move):.3f}{unit}"
+    return (
+        f"{status.bench} [{status.axis_key}] {objective.metric} {verb} "
+        f"{amount}: {value:.3f}{unit} vs rolling median {centre:.3f}{unit} "
+        f"over {status.baseline_runs} run(s) "
+        f"(tolerance {status.tolerance:.3f}{unit}, run {status.latest_run})"
+    )
+
+
 def _status_findings(status: SloStatus, location: str) -> List[Finding]:
     objective = status.objective
-    module = f"{objective.bench}:{status.axis_key}"
+    module = f"{status.bench}:{status.axis_key}"
     findings: List[Finding] = []
     latest = status.latest_value
-    if latest is not None and objective.violates(latest):
-        findings.append(Finding(
-            rule_id="OBS300",
-            path=location,
-            module=module,
-            line=0,
-            message=(
-                f"SLO {objective.name}: latest record violates "
-                f"{objective.bound_text} (value {latest:.4g}, "
-                f"run {status.latest_run})"),
-            hint="a single violation spends budget; watch the burn rate",
-        ))
+    if objective.excess(latest, status.reference) > status.tolerance:
+        if objective.baseline:
+            message = _regression_message(status)
+            hint = ("confirm with a re-run; if the shift is intended, let "
+                    "the new level enter the rolling baseline (or compact "
+                    "the old history)")
+        else:
+            message = (f"SLO {objective.name}: latest record violates "
+                       f"{status.bound_text} (value {latest:.4g}, "
+                       f"run {status.latest_run})")
+            hint = "a single violation spends budget; watch the burn rate"
+        findings.append(Finding(rule_id=objective.rule_id, path=location,
+                                module=module, line=0, message=message,
+                                hint=hint))
     if (status.fast_burn >= objective.burn_threshold
             and status.slow_burn >= 1.0):
         findings.append(Finding(
@@ -346,7 +462,7 @@ def _status_findings(status: SloStatus, location: str) -> List[Finding]:
                 f"(threshold {objective.burn_threshold:g}x) while the "
                 f"slow window burns at {status.slow_burn:.2f}x "
                 f"({status.violations}/{status.records} records violate "
-                f"{objective.bound_text})"),
+                f"{status.bound_text})"),
             hint=(
                 "a severe AND sustained breach: fix the regression or "
                 "re-negotiate the objective"),
@@ -360,7 +476,7 @@ def _status_findings(status: SloStatus, location: str) -> List[Finding]:
             message=(
                 f"SLO {objective.name}: error budget exhausted — "
                 f"{status.violations}/{status.records} trailing records "
-                f"violate {objective.bound_text} "
+                f"violate {status.bound_text} "
                 f"(budget {objective.budget:.0%} of the window, "
                 f"burn {status.slow_burn:.2f}x)"),
             hint=(
@@ -381,14 +497,13 @@ def render_slo_table(statuses: Sequence[SloStatus]) -> str:
         rows.append((
             status.objective.name,
             status.axis_key or "-",
-            status.objective.bound_text,
+            status.bound_text,
             str(status.records),
             str(status.violations),
             str(status.fast_violations),
             f"{status.slow_burn:.2f}x",
             f"{status.budget_remaining:.0%}",
-            "-" if status.latest_value is None
-            else f"{status.latest_value:.4g}",
+            f"{status.latest_value:.4g}",
         ))
     widths = [max(len(headers[i]), *(len(row[i]) for row in rows))
               for i in range(len(headers))]
@@ -412,17 +527,23 @@ def slo_document(statuses: Sequence[SloStatus],
 
 
 __all__ = [
+    "DEFAULT_BASELINE",
     "DEFAULT_BUDGET",
     "DEFAULT_BURN_THRESHOLD",
     "DEFAULT_FAST_WINDOW",
+    "DEFAULT_GATES",
+    "DEFAULT_MAD_SIGMAS",
     "DEFAULT_SLOS",
     "DEFAULT_WINDOW",
+    "MAD_SIGMA_FACTOR",
     "SLO_SCHEMA",
     "SloObjective",
     "SloStatus",
     "evaluate_slo",
     "evaluate_slos",
     "load_slo_spec",
+    "mad",
+    "median",
     "render_slo_table",
     "slo_document",
 ]

@@ -110,10 +110,8 @@ EVENT_NAMES: Tuple[str, ...] = (
     # parallel encode chunks
     "chunk.retry",
     "chunk.fallback",
-    # chaos / gates / SLO plane
+    # chaos / flight recorder
     "crash.injected",
-    "gate.fail",
-    "slo.breach",
     "flight.dump",
 )
 

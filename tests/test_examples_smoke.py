@@ -22,11 +22,6 @@ class TestExamples:
         assert "generated blue_sky_576p25" in out
         assert "PSNR" in out
 
-    def test_rate_control(self, capsys):
-        out = run_example("rate_control", capsys)
-        assert "controller trace" in out
-        assert "target" in out
-
     def test_transcode(self, capsys):
         out = run_example("transcode", capsys)
         assert "bitrate saved by transcoding" in out

@@ -18,6 +18,7 @@ from repro.observe.cli import main as observe_main
 from repro.observe.httpd import parse_listen, serve_metrics
 from repro.observe.record import BenchRecord
 from repro.observe.slo import (
+    DEFAULT_GATES,
     DEFAULT_SLOS,
     SLO_SCHEMA,
     SloObjective,
@@ -239,14 +240,28 @@ class TestSloObjectives:
                          window=2, fast_window=3)
 
     def test_spec_file_round_trip(self, tmp_path):
-        spec = tmp_path / "slo.json"
-        spec.write_text(json.dumps({
-            "schema": SLO_SCHEMA,
-            "objectives": [obj.to_dict() for obj in DEFAULT_SLOS],
-        }))
-        parsed = load_slo_spec(str(spec))
-        assert [obj.name for obj in parsed] == [obj.name
-                                                for obj in DEFAULT_SLOS]
+        for objectives in (DEFAULT_SLOS, DEFAULT_GATES):
+            spec = tmp_path / "slo.json"
+            spec.write_text(json.dumps({
+                "schema": SLO_SCHEMA,
+                "objectives": [obj.to_dict() for obj in objectives],
+            }))
+            parsed = load_slo_spec(str(spec))
+            assert [obj.name for obj in parsed] == [obj.name
+                                                    for obj in objectives]
+            assert parsed == objectives
+
+    def test_from_dict_rejects_malformed_objectives(self):
+        base = {"name": "x", "bench": "b", "metric": "m", "objective": 1.0}
+        with pytest.raises(ObserveError, match="missing required key 'bench'"):
+            SloObjective.from_dict({"name": "x", "metric": "m",
+                                    "objective": 1.0})
+        with pytest.raises(ObserveError, match="unknown keys"):
+            SloObjective.from_dict({**base, "threshold": 0.1})
+        with pytest.raises(ObserveError, match="malformed"):
+            SloObjective.from_dict({**base, "window": "eight"})
+        parsed = SloObjective.from_dict({**base, "window": "3"})
+        assert parsed.window == 3
 
     def test_spec_file_rejects_wrong_schema(self, tmp_path):
         spec = tmp_path / "slo.json"

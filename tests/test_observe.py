@@ -3,19 +3,19 @@
 import json
 import multiprocessing
 import os
+from dataclasses import replace
 
 import pytest
 
 from repro.errors import ObserveError
 from repro.observe import (
-    DEFAULT_POLICIES,
+    DEFAULT_GATES,
     BenchRecord,
-    GateConfig,
     HistoryStore,
     RunInfo,
     compare_runs,
     current_git_sha,
-    detect_regressions,
+    evaluate_slos,
     mad,
     median,
     metric_trend,
@@ -258,6 +258,70 @@ def fill_axis(store, values, bench="performance", metric="fps", **axes):
             metrics={metric: value}, created=float(i)))
 
 
+def detect_regressions(store, bench=None, **changes):
+    """The regression gate's findings; ``changes`` apply to every gate."""
+    gates = [replace(gate, **changes) for gate in DEFAULT_GATES]
+    return evaluate_slos(store, gates, bench=bench)[1]
+
+
+#: One planted regression per DEFAULT_GATES metric: five steady records
+#: then the planted value, with the gate's rule id and message.
+PLANTED_REGRESSIONS = [
+    ("fps", "performance", 100.0, 80.0, "OBS201",
+     "performance [codec=mpeg2] fps dropped 20.0%: 80.000 fps vs rolling "
+     "median 100.000 fps over 5 run(s) (tolerance 10.000 fps, run run-005)"),
+    ("psnr_db", "ratedistortion", 40.0, 39.5, "OBS202",
+     "ratedistortion [codec=mpeg2] psnr_db dropped 0.500 dB: 39.500 dB vs "
+     "rolling median 40.000 dB over 5 run(s) (tolerance 0.100 dB, "
+     "run run-005)"),
+    ("bitrate_kbps", "ratedistortion", 1000.0, 1100.0, "OBS203",
+     "ratedistortion [codec=mpeg2] bitrate_kbps grew 10.0%: 1100.000 kbit/s "
+     "vs rolling median 1000.000 kbit/s over 5 run(s) (tolerance 20.000 "
+     "kbit/s, run run-005)"),
+    ("graceful_rate", "robustness", 1.0, 0.9, "OBS204",
+     "robustness [codec=mpeg2] graceful_rate dropped 0.100: 0.900 vs "
+     "rolling median 1.000 over 5 run(s) (tolerance 0.020, run run-005)"),
+    ("conceal_rate", "robustness", 1.0, 0.9, "OBS204",
+     "robustness [codec=mpeg2] conceal_rate dropped 0.100: 0.900 vs "
+     "rolling median 1.000 over 5 run(s) (tolerance 0.020, run run-005)"),
+    ("complete_rate", "streaming", 1.0, 0.9, "OBS204",
+     "streaming [codec=mpeg2] complete_rate dropped 0.100: 0.900 vs "
+     "rolling median 1.000 over 5 run(s) (tolerance 0.020, run run-005)"),
+    ("fec_recovery_rate", "streaming", 1.0, 0.9, "OBS204",
+     "streaming [codec=mpeg2] fec_recovery_rate dropped 0.100: 0.900 vs "
+     "rolling median 1.000 over 5 run(s) (tolerance 0.020, run run-005)"),
+    ("mean_psnr_delta_db", "streaming", -1.0, -1.5, "OBS205",
+     "streaming [codec=mpeg2] mean_psnr_delta_db dropped 0.500 dB: "
+     "-1.500 dB vs rolling median -1.000 dB over 5 run(s) (tolerance "
+     "0.100 dB, run run-005)"),
+    ("deadline_miss_rate", "serve", 0.0, 0.1, "OBS206",
+     "serve [codec=mpeg2] deadline_miss_rate grew 0.100: 0.100 vs rolling "
+     "median 0.000 over 5 run(s) (tolerance 0.020, run run-005)"),
+    ("p99_miss_seconds", "serve", 0.2, 0.4, "OBS206",
+     "serve [codec=mpeg2] p99_miss_seconds grew 100.0%: 0.400 s vs rolling "
+     "median 0.200 s over 5 run(s) (tolerance 0.050 s, run run-005)"),
+    ("shed_rate", "serve", 0.0, 0.1, "OBS206",
+     "serve [codec=mpeg2] shed_rate grew 0.100: 0.100 vs rolling median "
+     "0.000 over 5 run(s) (tolerance 0.020, run run-005)"),
+    ("sessions_per_second", "serve", 50.0, 40.0, "OBS206",
+     "serve [codec=mpeg2] sessions_per_second dropped 20.0%: 40.000 vs "
+     "rolling median 50.000 over 5 run(s) (tolerance 5.000, run run-005)"),
+    ("unhandled_escapes", "serve", 0.0, 1.0, "OBS206",
+     "serve [codec=mpeg2] unhandled_escapes grew 1.000: 1.000 vs rolling "
+     "median 0.000 over 5 run(s) (tolerance 0.000, run run-005)"),
+    ("cell_failure_rate", "orchestrate_run", 0.0, 0.25, "OBS207",
+     "orchestrate_run [codec=mpeg2] cell_failure_rate grew 0.250: 0.250 vs "
+     "rolling median 0.000 over 5 run(s) (tolerance 0.000, run run-005)"),
+    ("cache_hit_rate", "orchestrate_run", 1.0, 0.5, "OBS207",
+     "orchestrate_run [codec=mpeg2] cache_hit_rate dropped 0.500: 0.500 vs "
+     "rolling median 1.000 over 5 run(s) (tolerance 0.050, run run-005)"),
+    ("cells_per_second", "orchestrate_run", 10.0, 8.0, "OBS207",
+     "orchestrate_run [codec=mpeg2] cells_per_second dropped 20.0%: 8.000 "
+     "vs rolling median 10.000 over 5 run(s) (tolerance 1.000, "
+     "run run-005)"),
+]
+
+
 class TestRegressionDetection:
     def test_planted_throughput_drop_flagged(self, tmp_path):
         store = HistoryStore(tmp_path / "hist")
@@ -316,8 +380,11 @@ class TestRegressionDetection:
         store = HistoryStore(tmp_path / "hist")
         fill_axis(store, [100.0, 100.0, 100.0, 100.0, 100.0, 95.0])
         assert detect_regressions(store) == []
-        tight = GateConfig(mad_sigmas=0.0).with_thresholds(fps_drop=0.02)
-        findings = detect_regressions(store, config=tight)
+        tight = [replace(gate, mad_sigmas=0.0,
+                         objective=0.02 if gate.metric == "fps"
+                         else gate.objective)
+                 for gate in DEFAULT_GATES]
+        findings = evaluate_slos(store, tight)[1]
         assert [f.rule_id for f in findings] == ["OBS201"]
 
     def test_robustness_rate_policy(self, tmp_path):
@@ -329,9 +396,9 @@ class TestRegressionDetection:
 
     def test_gate_config_validation(self):
         with pytest.raises(ObserveError):
-            GateConfig(window=0)
+            replace(DEFAULT_GATES[0], baseline=-1)
         with pytest.raises(ObserveError):
-            GateConfig(mad_sigmas=-1.0)
+            replace(DEFAULT_GATES[0], mad_sigmas=-1.0)
 
     def test_median_and_mad(self):
         assert median([3.0, 1.0, 2.0]) == 2.0
@@ -342,10 +409,26 @@ class TestRegressionDetection:
             median([])
 
     def test_policy_table_covers_issue_metrics(self):
-        by_metric = {policy.metric: policy for policy in DEFAULT_POLICIES}
-        assert by_metric["fps"].threshold == pytest.approx(0.10)
-        assert by_metric["psnr_db"].threshold == pytest.approx(0.1)
-        assert by_metric["bitrate_kbps"].threshold == pytest.approx(0.02)
+        by_metric = {gate.metric: gate for gate in DEFAULT_GATES}
+        assert by_metric["fps"].objective == pytest.approx(0.10)
+        assert by_metric["psnr_db"].objective == pytest.approx(0.1)
+        assert by_metric["bitrate_kbps"].objective == pytest.approx(0.02)
+
+    def test_planted_table_covers_every_gate(self):
+        assert sorted(case[0] for case in PLANTED_REGRESSIONS) == sorted(
+            gate.metric for gate in DEFAULT_GATES)
+
+    @pytest.mark.parametrize(
+        "metric,bench,steady,planted,rule_id,message", PLANTED_REGRESSIONS,
+        ids=[case[0] for case in PLANTED_REGRESSIONS])
+    def test_planted_regression_per_gate_metric(self, tmp_path, metric, bench,
+                                                steady, planted, rule_id,
+                                                message):
+        store = HistoryStore(tmp_path / "hist")
+        fill_axis(store, [steady] * 5 + [planted], bench=bench, metric=metric)
+        findings = detect_regressions(store)
+        assert [(f.rule_id, f.message) for f in findings] == [
+            (rule_id, message)]
 
     def test_compare_and_trend(self, tmp_path):
         store = HistoryStore(tmp_path / "hist")
@@ -495,6 +578,65 @@ class TestObserveCli:
         capsys.readouterr()
         assert self.gate(tmp_path / "hist", "--fps-drop", "0.02",
                          "--mad-sigmas", "0") == 1
+
+    def test_gate_rejects_invalid_window_and_band(self, tmp_path, capsys):
+        fill_axis(HistoryStore(tmp_path / "hist"), [100.0, 100.0])
+        assert self.gate(tmp_path / "hist", "--window", "0") == 2
+        assert self.gate(tmp_path / "hist", "--mad-sigmas", "-1") == 2
+        assert "must be >= " in capsys.readouterr().err
+
+    def test_gate_judges_newest_record_slo_newest_measured(self, tmp_path,
+                                                           capsys):
+        # fps 100, 100, 50, then a newest record that did not measure fps.
+        # The gate judges the group's newest record, which lacks fps, so
+        # it stays clean; an absolute SLO judges the newest record that
+        # carries the metric (the 50).
+        store_dir = tmp_path / "hist"
+        axes = {"operation": "decode", "resolution": "720p25"}
+        fill_axis(HistoryStore(store_dir), [100.0, 100.0, 50.0], **axes)
+        HistoryStore(store_dir).append(BenchRecord(
+            run_id="run-003", bench="performance", axes=axes,
+            metrics={"psnr_db": 40.0}, created=3.0))
+        assert self.gate(store_dir, "--format", "json") == 0
+        assert json.loads(capsys.readouterr().out)["findings"] == []
+        assert observe_main(["slo", "--store", str(store_dir),
+                             "--format", "json"]) == 0
+        (status,) = json.loads(capsys.readouterr().out)["statuses"]
+        assert (status["latest_value"], status["latest_run"]) == (
+            50.0, "run-002")
+        spec = tmp_path / "slo.json"
+        spec.write_text(json.dumps({
+            "schema": "repro.observe.slo/1",
+            "objectives": [{"name": "fps-floor", "bench": "performance",
+                            "metric": "fps", "objective": 60.0,
+                            "direction": "min", "window": 1,
+                            "fast_window": 1, "budget": 1.0}]}))
+        assert observe_main(["slo", "--store", str(store_dir), "--spec",
+                             str(spec), "--format", "json"]) == 1
+        (finding,) = json.loads(capsys.readouterr().out)["findings"]
+        assert finding["rule"] == "OBS300"
+        assert "value 50, run run-002" in finding["message"]
+
+    def test_gate_baseline_is_sliced_before_metric_filter(self, tmp_path,
+                                                          capsys):
+        # With --window 2 the baseline slice is [fps 100, psnr-only]; its
+        # fps values are [100], so the newest 50 is a 50 % drop.  Taking
+        # the last two fps records instead ([10, 100]) would hide it in
+        # the noise band.
+        store_dir = tmp_path / "hist"
+        fill_axis(HistoryStore(store_dir), [10.0, 100.0])
+        store = HistoryStore(store_dir)
+        store.append(BenchRecord(run_id="run-002", bench="performance",
+                                 axes={"codec": "mpeg2"},
+                                 metrics={"psnr_db": 40.0}, created=2.0))
+        store.append(BenchRecord(run_id="run-003", bench="performance",
+                                 axes={"codec": "mpeg2"},
+                                 metrics={"fps": 50.0}, created=3.0))
+        assert self.gate(store_dir, "--window", "2", "--format", "json") == 1
+        (finding,) = json.loads(capsys.readouterr().out)["findings"]
+        assert finding["rule"] == "OBS201"
+        assert "vs rolling median 100.000 fps over 1 run(s)" in (
+            finding["message"])
 
     def test_record_ingests_documents(self, tmp_path, capsys):
         document = records_document([record(run="rX")])
