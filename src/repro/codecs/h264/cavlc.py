@@ -15,10 +15,11 @@ spec's lookup tables encode); see the bitstream note in DESIGN.md.
 
 from __future__ import annotations
 
+import functools
 from typing import List, Sequence, Tuple
 
 from repro.common.bitstream import BitReader, BitWriter
-from repro.errors import BitstreamError
+from repro.errors import BitstreamError, TruncationError
 
 #: Maximum trailing ones signalled separately, as in the spec.
 MAX_TRAILING_ONES = 3
@@ -57,17 +58,17 @@ def _write_rice(writer: BitWriter, value: int, k: int) -> None:
 
 
 def _read_rice(reader: BitReader, k: int) -> int:
-    quotient = 0
-    while reader.read_bit() == 0:
-        quotient += 1
-        if quotient > _ESCAPE_PREFIX:
-            raise BitstreamError("runaway Rice prefix")
+    # Sixteen zeros are a runaway prefix (or a zero tail that ends first,
+    # which read_prefix raises at the end of the data).
+    quotient = reader.read_prefix(_ESCAPE_PREFIX + 1)
+    if quotient > _ESCAPE_PREFIX:
+        raise BitstreamError("runaway Rice prefix")
     if quotient == _ESCAPE_PREFIX:
         return (_ESCAPE_PREFIX << k) + reader.read_bits(_ESCAPE_BITS)
-    remainder = reader.read_bits(k) if k else 0
-    return (quotient << k) | remainder
+    return ((quotient << k) | reader.read_bits(k)) if k else quotient
 
 
+@functools.lru_cache(maxsize=None)
 def _truncated_binary_bits(maximum: int) -> Tuple[int, int]:
     """(short_len, threshold) for truncated binary over 0..maximum."""
     n = maximum + 1
@@ -175,9 +176,13 @@ class CavlcCoder:
             raise BitstreamError("TrailingOnes exceeds TotalCoeff")
 
         # Levels in reverse scan order: trailing ones first.
-        levels_reverse: List[int] = []
-        for _ in range(trailing):
-            levels_reverse.append(-1 if reader.read_bit() else 1)
+        try:
+            signs = reader.read_bits(trailing)
+        except TruncationError:
+            reader.skip_code(trailing)  # fail at the end of the data, as per-bit reads do
+            raise
+        levels_reverse = [-1 if (signs >> shift) & 1 else 1
+                          for shift in range(trailing - 1, -1, -1)]
         suffix_length = 1 if total_coeff > 10 and trailing < 3 else 0
         for position in range(total_coeff - trailing):
             level_code = _read_rice(reader, suffix_length)

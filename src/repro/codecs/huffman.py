@@ -62,35 +62,66 @@ def canonical_codes(lengths: Mapping[Symbol, int]) -> Dict[Symbol, Code]:
     return codes
 
 
+#: Window width of each lookup level: the first level resolves every code
+#: of up to this many bits, longer codes continue in sub-tables.
+LEVEL_BITS = 8
+
+#: A slot no code reaches.
+_NO_CODE: Tuple[int, object] = (0, None)
+
+
 class VlcTable:
-    """A static prefix-free code over a symbol alphabet."""
+    """A static prefix-free code over a symbol alphabet.
+
+    Decoding is table driven.  Each level of the lookup is a list indexed
+    by the next ``LEVEL_BITS`` (or fewer) bits of the stream; a slot holds
+    ``(length, symbol)`` for the code that window starts with, where
+    ``length`` counts from the start of the code, or ``(0, level)`` for a
+    sub-table that resolves longer codes.
+    """
 
     def __init__(self, codes: Mapping[Symbol, Code], name: str = "") -> None:
         self.name = name
         self._encode: Dict[Symbol, Code] = dict(codes)
-        self._decode: Dict[Code, Symbol] = {}
         for symbol, (value, length) in self._encode.items():
             if length <= 0:
                 raise ConfigError(f"{name}: zero-length code for {symbol!r}")
-            key = (value, length)
-            if key in self._decode:
-                raise ConfigError(f"{name}: duplicate code for {symbol!r}")
-            self._decode[key] = symbol
+            if not 0 <= value < 1 << length:
+                raise ConfigError(f"{name}: code for {symbol!r} does not fit {length} bits")
         self.max_length = max(length for _, length in self._encode.values())
-        self._check_prefix_free()
+        self._root_bits, _, self._root = self._level(
+            [(value, length, symbol) for symbol, (value, length) in self._encode.items()], 0)
+
+    def _level(self, codes: List[Tuple[int, int, Symbol]], consumed: int) -> Tuple[int, int, list]:
+        """One lookup level for codes whose first ``consumed`` bits are known.
+
+        Returns ``(window, mask, slots)``: the level is indexed by the low
+        ``mask`` bits of a ``window``-bit peek.  A slot written twice means
+        one code is a prefix of another (or a duplicate of it).
+        """
+        bits = min(LEVEL_BITS, max(length for _, length, _ in codes) - consumed)
+        slots: list = [_NO_CODE] * (1 << bits)
+        longer: Dict[int, List[Tuple[int, int, Symbol]]] = {}
+        for value, length, symbol in codes:
+            rest = length - consumed
+            if rest > bits:
+                longer.setdefault((value >> (rest - bits)) & ((1 << bits) - 1), []).append(
+                    (value, length, symbol))
+                continue
+            first = (value & ((1 << rest) - 1)) << (bits - rest)
+            for slot in range(first, first + (1 << (bits - rest))):
+                if slots[slot] is not _NO_CODE:
+                    raise ConfigError(f"{self.name}: code table is not prefix free")
+                slots[slot] = (length, symbol)
+        for slot, group in longer.items():
+            if slots[slot] is not _NO_CODE:
+                raise ConfigError(f"{self.name}: code table is not prefix free")
+            slots[slot] = (0, self._level(group, consumed + bits))
+        return consumed + bits, (1 << bits) - 1, slots
 
     @classmethod
     def from_frequencies(cls, frequencies: Mapping[Symbol, float], name: str = "") -> "VlcTable":
         return cls(canonical_codes(huffman_code_lengths(frequencies)), name=name)
-
-    def _check_prefix_free(self) -> None:
-        by_length = sorted(self._decode, key=lambda key: key[1])
-        seen = set()
-        for value, length in by_length:
-            for prefix_len, prefix_val in seen:
-                if prefix_len < length and (value >> (length - prefix_len)) == prefix_val:
-                    raise ConfigError(f"{self.name}: code table is not prefix free")
-            seen.add((length, value))
 
     def __len__(self) -> int:
         return len(self._encode)
@@ -110,13 +141,24 @@ class VlcTable:
         writer.write_bits(value, length)
 
     def read(self, reader: BitReader) -> Symbol:
-        value = 0
-        for length in range(1, self.max_length + 1):
-            value = (value << 1) | reader.read_bit()
-            symbol = self._decode.get((value, length))
-            if symbol is not None:
-                return symbol
-        raise BitstreamError(f"{self.name}: invalid code in bitstream")
+        """Decode one symbol: one window peek per lookup level.
+
+        A code that runs past the end of the data raises
+        :class:`TruncationError` at the end of the data.  A window no code
+        matches raises :class:`BitstreamError` after ``max_length`` bits,
+        or :class:`TruncationError` at the end of the data when fewer bits
+        remain (only an incomplete table, such as a one-symbol one, has
+        such windows).
+        """
+        length, found = self._root[reader.peek_bits(self._root_bits)]
+        while not length:
+            if found is None:
+                reader.skip_code(self.max_length)
+                raise BitstreamError(f"{self.name}: invalid code in bitstream")
+            window, mask, slots = found
+            length, found = slots[reader.peek_bits(window) & mask]
+        reader.skip_code(length)
+        return found
 
 
 def geometric(probability: float, value: int) -> float:

@@ -16,6 +16,8 @@ layer can emit; nothing escapes as a raw ``ValueError``.
 
 from __future__ import annotations
 
+import struct
+
 from repro.errors import BitstreamError, TruncationError
 
 
@@ -101,14 +103,31 @@ class BitWriter:
         return bytes(self._buffer) + bytes([tail])
 
 
+#: Zero bytes kept after the data, so that a window read near the end of
+#: the stream needs no bounds check: bits past the end read as zeros.
+_PAD = bytes(8)
+#: The 64-bit big-endian word at a byte offset of the padded data.
+_WORD = struct.Struct(">Q").unpack_from
+#: The widest window one word serves at every bit offset.
+_WINDOW_BITS = 64 - 7
+
+
 class BitReader:
     """Reads bits MSB-first from a ``bytes`` object.
 
-    Raises :class:`BitstreamError` when reading past the end of the data.
+    Raises :class:`TruncationError` when reading past the end of the data
+    and :class:`BitstreamError` for a count that cannot be read.
+
+    Entropy decoders look their codes up in a window of upcoming bits
+    (:meth:`peek_bits`, zero-padded past the end) and then consume the
+    code they found with :meth:`skip_code`, which owns the rule for a
+    code that runs past the end of the data; :meth:`read_prefix` does
+    both for a unary prefix.
     """
 
     def __init__(self, data: bytes) -> None:
-        self._data = data
+        self._data = bytes(data) + _PAD
+        self._end = 8 * (len(self._data) - len(_PAD))  # bits of real data
         self._pos = 0  # bit position
 
     @property
@@ -117,37 +136,40 @@ class BitReader:
 
     @property
     def bits_remaining(self) -> int:
-        return 8 * len(self._data) - self._pos
+        return self._end - self._pos
 
     def at_end(self) -> bool:
-        return self.bits_remaining <= 0
+        return self._pos >= self._end
 
     def read_bit(self) -> int:
-        if self._pos >= 8 * len(self._data):
+        pos = self._pos
+        if pos >= self._end:
             raise TruncationError("read past end of bitstream")
-        byte = self._data[self._pos >> 3]
-        bit = (byte >> (7 - (self._pos & 7))) & 1
-        self._pos += 1
-        return bit
+        self._pos = pos + 1
+        return (self._data[pos >> 3] >> (7 - (pos & 7))) & 1
 
     def read_bits(self, count: int) -> int:
-        """Read ``count`` bits, MSB first, returned as an unsigned int."""
-        if count < 0:
-            raise BitstreamError(f"count must be non-negative, got {count}")
-        if count == 0:
+        """Read ``count`` bits, MSB first, returned as an unsigned int.
+
+        A read past the end raises :class:`TruncationError` and leaves the
+        position unchanged.
+        """
+        if count <= 0:
+            if count:
+                raise BitstreamError(f"count must be non-negative, got {count}")
             return 0
-        if count > self.bits_remaining:
-            raise TruncationError(
-                f"requested {count} bits but only {self.bits_remaining} remain"
-            )
         position = self._pos
         end = position + count
-        start_byte = position >> 3
-        end_byte = (end + 7) >> 3
-        chunk = int.from_bytes(self._data[start_byte:end_byte], "big")
-        shift = 8 * (end_byte - start_byte) - (end - 8 * start_byte)
+        if end > self._end:
+            raise TruncationError(
+                f"requested {count} bits but only {self._end - position} remain"
+            )
         self._pos = end
-        return (chunk >> shift) & ((1 << count) - 1)
+        if count <= _WINDOW_BITS:
+            word = _WORD(self._data, position >> 3)[0]
+            return (word >> (64 - (position & 7) - count)) & ((1 << count) - 1)
+        chunk = int.from_bytes(self._data[position >> 3 : (end + 7) >> 3], "big")
+        return (chunk >> (-end & 7)) & ((1 << count) - 1)
 
     def read_signed(self, count: int) -> int:
         """Read a ``count``-bit two's-complement value."""
@@ -159,20 +181,63 @@ class BitReader:
         return raw
 
     def peek_bits(self, count: int) -> int:
-        """Read ``count`` bits without consuming them.
+        """The next ``count`` bits, without consuming them.
 
-        Bits beyond the end of the stream are returned as zeros so that VLC
-        table lookups near the stream tail remain simple; consuming them
-        still raises.
+        Bits beyond the end of the stream are returned as zeros, so a
+        table lookup near the stream tail needs no special case; consuming
+        them still raises (see :meth:`skip_code`).
         """
-        saved = self._pos
-        avail = min(count, self.bits_remaining)
-        value = self.read_bits(avail) << (count - avail)
-        self._pos = saved
-        return value
+        position = self._pos
+        if 0 <= count <= _WINDOW_BITS:
+            word = _WORD(self._data, position >> 3)[0]
+            return (word >> (64 - (position & 7) - count)) & ((1 << count) - 1)
+        if count < 0:
+            raise BitstreamError(f"count must be non-negative, got {count}")
+        # Wider than one word: pad this window explicitly.
+        end = position + count
+        first, last = position >> 3, (end + 7) >> 3
+        window = self._data[first:last].ljust(last - first, b"\x00")
+        return (int.from_bytes(window, "big") >> (-end & 7)) & ((1 << count) - 1)
+
+    def read_prefix(self, limit: int) -> int:
+        """Read a unary prefix: the number of zeros before the next one bit.
+
+        The zeros are counted with ``int.bit_length()`` in one
+        ``limit``-bit window (the :meth:`peek_bits` window, ``limit`` at
+        most 57), and the zeros and the one bit are consumed.  A window
+        with no one bit is a prefix of ``limit`` or more zeros: those
+        ``limit`` zeros are consumed and ``limit`` is returned, and a
+        stream that ends inside them raises :class:`TruncationError` at
+        the end of the data, as reading them one bit at a time would.
+        """
+        if not 0 < limit <= _WINDOW_BITS:
+            raise BitstreamError(f"prefix window must be 1..{_WINDOW_BITS} bits, got {limit}")
+        position = self._pos
+        word = _WORD(self._data, position >> 3)[0]
+        zeros = limit - ((word >> (64 - (position & 7) - limit)) & ((1 << limit) - 1)).bit_length()
+        if zeros == limit:
+            self.skip_code(limit)
+        else:
+            self._pos = position + zeros + 1
+        return zeros
+
+    def skip_code(self, length: int) -> None:
+        """Consume a ``length``-bit code found by a window lookup.
+
+        A code that runs past the end of the data moves the position to
+        the end and raises :class:`TruncationError`, exactly as reading it
+        one bit at a time would.
+        """
+        end = self._pos + length
+        if end > self._end:
+            self._pos = self._end
+            raise TruncationError("read past end of bitstream")
+        self._pos = end
 
     def skip_bits(self, count: int) -> None:
-        if count > self.bits_remaining:
+        if count < 0:
+            raise BitstreamError(f"count must be non-negative, got {count}")
+        if count > self._end - self._pos:
             raise TruncationError("skip past end of bitstream")
         self._pos += count
 
@@ -183,17 +248,19 @@ class BitReader:
         data raises instead of leaving the reader positioned out of range.
         """
         skip = (8 - (self._pos & 7)) & 7
-        if skip > self.bits_remaining:
+        if skip > self._end - self._pos:
             raise TruncationError("align past end of bitstream")
         self._pos += skip
         return skip
 
     def read_bytes(self, count: int) -> bytes:
         """Read whole bytes; requires byte alignment."""
+        if count < 0:
+            raise BitstreamError(f"count must be non-negative, got {count}")
         if self._pos & 7:
             raise BitstreamError("read_bytes requires byte alignment")
         start = self._pos >> 3
-        if start + count > len(self._data):
+        if 8 * (start + count) > self._end:
             raise TruncationError("read past end of bitstream")
         self._pos += 8 * count
         return self._data[start : start + count]

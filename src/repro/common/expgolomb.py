@@ -22,14 +22,18 @@ def write_ue(writer: BitWriter, value: int) -> None:
 
 
 def read_ue(reader: BitReader) -> int:
-    """Read an unsigned Exp-Golomb code."""
-    zeros = 0
-    while reader.read_bit() == 0:
-        zeros += 1
-    value = 1 << zeros
-    if zeros:
-        value |= reader.read_bits(zeros)
-    return value - 1
+    """Read an unsigned Exp-Golomb code.
+
+    The leading zeros are counted 32 at a time (:meth:`BitReader.read_prefix`).
+    A prefix that runs past the end of the data raises
+    :class:`TruncationError` at the end; a short suffix raises it after the
+    marker bit, as ``read_bits`` does.
+    """
+    zeros = more = reader.read_prefix(32)
+    while more == 32:  # 32 or more zeros: rare, but any count is a valid code
+        more = reader.read_prefix(32)
+        zeros += more
+    return (1 << zeros | reader.read_bits(zeros)) - 1
 
 
 def write_se(writer: BitWriter, value: int) -> None:

@@ -323,6 +323,7 @@ class SloStatus:
     def to_dict(self) -> Dict[str, Any]:
         return {
             "objective": self.objective.name,
+            "bench": self.bench,
             "bound": self.bound_text,
             "axis": self.axis_key,
             "records": self.records,
@@ -487,15 +488,16 @@ def _status_findings(status: SloStatus, location: str) -> List[Finding]:
 
 
 def render_slo_table(statuses: Sequence[SloStatus]) -> str:
-    """Fixed-width human summary, one row per (objective, axis)."""
+    """Fixed-width human summary, one row per (objective, bench, axis)."""
     if not statuses:
         return "no SLO-relevant records in the store\n"
-    headers = ("objective", "axis", "bound", "n", "viol", "fast",
+    headers = ("objective", "bench", "axis", "bound", "n", "viol", "fast",
                "slow-burn", "budget-left", "latest")
     rows = []
     for status in statuses:
         rows.append((
             status.objective.name,
+            status.bench,
             status.axis_key or "-",
             status.bound_text,
             str(status.records),

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.common.bitstream import BitReader, BitWriter
-from repro.errors import BitstreamError
+from repro.errors import BitstreamError, TruncationError
 
 
 class TestBitWriter:
@@ -138,6 +138,63 @@ class TestBitReader:
     def test_skip_past_end_raises(self):
         with pytest.raises(BitstreamError):
             BitReader(b"").skip_bits(1)
+
+    def test_skip_bits_rejects_negative_count(self):
+        reader = BitReader(b"\xff\x00")
+        reader.read_bits(8)
+        with pytest.raises(BitstreamError):
+            reader.skip_bits(-5)
+        assert reader.bit_position == 8
+
+    def test_read_bytes_rejects_negative_count(self):
+        reader = BitReader(b"\xff\x00")
+        reader.read_bytes(1)
+        with pytest.raises(BitstreamError):
+            reader.read_bytes(-1)
+        assert reader.bit_position == 8
+
+    def test_peek_rejects_negative_count(self):
+        with pytest.raises(BitstreamError):
+            BitReader(b"\xff").peek_bits(-1)
+
+    @given(st.binary(max_size=12), st.integers(0, 96), st.integers(0, 120))
+    def test_peek_is_a_zero_padded_read(self, data, start, count):
+        reader = BitReader(data)
+        start = min(start, 8 * len(data))
+        reader.skip_bits(start)
+        padded = BitReader(data + bytes(16))
+        padded.skip_bits(start)
+        assert reader.peek_bits(count) == padded.read_bits(count)
+        assert reader.bit_position == start
+
+    def test_read_prefix_consumes_zeros_and_marker(self):
+        reader = BitReader(bytes([0b00010000, 0x00, 0x01]))
+        assert reader.read_prefix(16) == 3
+        assert reader.bit_position == 4
+        assert reader.read_prefix(8) == 8  # no one bit in the window
+        assert reader.bit_position == 12
+        assert reader.read_prefix(16) == 11
+        assert reader.at_end()
+
+    def test_read_prefix_zero_tail_fails_at_end(self):
+        reader = BitReader(b"\x80\x00")
+        assert reader.read_prefix(4) == 0
+        with pytest.raises(TruncationError):
+            reader.read_prefix(32)
+        assert reader.bit_position == 16
+
+    def test_read_prefix_rejects_window_it_cannot_read(self):
+        with pytest.raises(BitstreamError):
+            BitReader(b"\xff").read_prefix(0)
+        with pytest.raises(BitstreamError):
+            BitReader(b"\xff").read_prefix(58)
+
+    def test_skip_code_past_end_stops_at_end(self):
+        reader = BitReader(b"\xff")
+        reader.read_bits(3)
+        with pytest.raises(TruncationError):
+            reader.skip_code(6)
+        assert reader.bit_position == 8
 
     def test_align(self):
         reader = BitReader(bytes([0xFF, 0xAB]))

@@ -110,6 +110,15 @@ class TestVlcTable:
         # '0' and '00' collide as prefix:
         with pytest.raises(ConfigError):
             VlcTable({"a": (0, 1), "b": (0, 2)})
+        # Across the first lookup level, and inside a sub-table:
+        with pytest.raises(ConfigError):
+            VlcTable({"a": (0b11111111, 8), "b": (0b111111110, 9)})
+        with pytest.raises(ConfigError):
+            VlcTable({"a": (0b111111111, 9), "b": (0b1111111110, 10)})
+
+    def test_code_value_must_fit_its_length(self):
+        with pytest.raises(ConfigError):
+            VlcTable({"a": (2, 1)})
 
     @given(st.integers(2, 60), st.integers(0, 1000))
     def test_roundtrip_random_alphabets(self, size, seed):

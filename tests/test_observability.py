@@ -310,6 +310,25 @@ class TestSloObjectives:
         assert [f["rule"] for f in payload["findings"]] == [
             "OBS300", "OBS301", "OBS302"]
 
+    def test_any_bench_statuses_name_their_bench(self, tmp_path):
+        """Two benches sharing an axis key give two distinguishable rows."""
+        store = HistoryStore(tmp_path / "hist")
+        store.append_many([
+            BenchRecord(run_id=f"{bench}-{index}", bench=bench,
+                        axes={"codec": "h264"}, metrics={"fps": fps},
+                        created=1000.0 + index)
+            for index, (bench, fps) in enumerate([("decode", 30.0),
+                                                  ("serve", 12.0)])])
+        objective = SloObjective(name="fps-floor", bench="*", metric="fps",
+                                 objective=20.0, direction="min")
+        statuses, _ = evaluate_slos(store, [objective])
+        rows = [status.to_dict() for status in statuses]
+        assert [(row["bench"], row["axis"]) for row in rows] == [
+            ("decode", "codec=h264"), ("serve", "codec=h264")]
+        table = render_slo_table(statuses).splitlines()
+        assert table[0].split()[:3] == ["objective", "bench", "axis"]
+        assert [line.split()[1] for line in table[2:]] == ["decode", "serve"]
+
 
 class TestTimeline:
     def _write_events(self, path):
